@@ -234,8 +234,29 @@ def _comparison_text(comparison: seqcompare.SequenceComparison) -> list[str]:
     return lines
 
 
+def _full_coverage_order(order: int) -> int:
+    """The least order at which every remark hypothesis covers all its terms."""
+    probe = max(order, 1)
+    while True:
+        probe *= 2
+        hypotheses = [
+            h for c in seqcompare.remark_comparisons(probe) for h in c.hypotheses
+        ]
+        if all(h.covered == h.total_terms for h in hypotheses):
+            return max(h.records[-1].n for h in hypotheses)
+
+
 def cmd_remark_check(args: argparse.Namespace) -> int:
     comparisons = seqcompare.remark_comparisons(args.order)
+    for comparison in comparisons:
+        for hyp in comparison.hypotheses:
+            if hyp.covered < hyp.total_terms:
+                raise ValueError(
+                    f"order {args.order} covers only {hyp.covered} of the "
+                    f"{hyp.total_terms} terms of {comparison.name} under "
+                    f"{hyp.label}; every term is covered from order "
+                    f"{_full_coverage_order(args.order)} on"
+                )
     if args.format == "json":
         text = _json_text(
             {
@@ -362,7 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
         "alignment hypotheses",
     )
     p.add_argument(
-        "order", nargs="?", type=int, default=120, help="truncation order (>= 120)"
+        "order",
+        nargs="?",
+        type=int,
+        default=120,
+        help="truncation order; too low to cover every published term is an error",
     )
     _add_common_flags(p, ("text", "json"))
     p.set_defaults(func=cmd_remark_check)

@@ -52,18 +52,22 @@ class Family(Enum):
 
 @dataclass(frozen=True)
 class SeriesRecipe:
-    """Closed form: [1/]product + sum of signed geometric combs + constant."""
+    """Closed form: numerator/denominator + signed geometric combs + constant.
 
-    product: PochhammerSpec
-    inverted: bool
+    Both products are meant to be theta series (see :mod:`.qproducts`), so
+    the expansion is one sparse inversion and one sparse multiplication.
+    A missing numerator stands for 1.
+    """
+
+    numerator: PochhammerSpec | None
+    denominator: PochhammerSpec
     corrections: tuple[tuple[int, GeometricSpec], ...] = ()
     constant: int = 0
 
     def expand(self, order: int) -> TruncatedSeries:
-        base = pochhammer(self.product, order)
-        if self.inverted:
-            base = base.invert()
-        result = base
+        result = pochhammer(self.denominator, order).invert()
+        if self.numerator is not None:
+            result = result * pochhammer(self.numerator, order)
         for sign, spec in self.corrections:
             comb = geometric(spec, order)
             result = result + comb if sign > 0 else result - comb
@@ -81,45 +85,52 @@ CONSTRAINTS: Mapping[Family, Constraint] = {
     Family.MOD6: partitions.MOD6,
 }
 
+# Each paper product is stored as a quotient of theta series; the comment
+# line under each paper formula gives the identity used.
 RECIPES: Mapping[Family, SeriesRecipe] = {
     # 1/(q^2;q^2) - 1/(1-q^2)
     Family.PLAIN: SeriesRecipe(
-        product=PochhammerSpec(((1, 2, 2),)),
-        inverted=True,
+        numerator=None,
+        denominator=PochhammerSpec(((1, 2, 2),)),
         corrections=((-1, GeometricSpec(0, 2)),),
     ),
     # (-q^2;q^2) - 1/(1-q^2)
+    # (-q^2;q^2) = (q^4;q^4)/(q^2;q^2) by (1 + x) = (1 - x^2)/(1 - x)
     Family.DISTINCT: SeriesRecipe(
-        product=PochhammerSpec(((-1, 2, 2),)),
-        inverted=False,
+        numerator=PochhammerSpec(((1, 4, 4),)),
+        denominator=PochhammerSpec(((1, 2, 2),)),
         corrections=((-1, GeometricSpec(0, 2)),),
     ),
     # 1/(q^2;q^4) - q^2/(1-q^4) - 1
+    # 1/(q^2;q^4) = (q^4;q^4)/(q^2;q^2), as (q^2;q^2) = (q^2;q^4)(q^4;q^4)
     Family.ODD: SeriesRecipe(
-        product=PochhammerSpec(((1, 2, 4),)),
-        inverted=True,
+        numerator=PochhammerSpec(((1, 4, 4),)),
+        denominator=PochhammerSpec(((1, 2, 2),)),
         corrections=((-1, GeometricSpec(2, 4)),),
         constant=-1,
     ),
     # (-q^2;q^4) - q^2/(1-q^4) - 1
+    # (-q^2;q^4) = (-q^2,-q^6;q^8) = (-q^2,-q^6,q^8;q^8)/(q^8;q^8)
     Family.ODD_DISTINCT: SeriesRecipe(
-        product=PochhammerSpec(((-1, 2, 4),)),
-        inverted=False,
+        numerator=PochhammerSpec(((-1, 2, 8), (-1, 6, 8), (1, 8, 8))),
+        denominator=PochhammerSpec(((1, 8, 8),)),
         corrections=((-1, GeometricSpec(2, 4)),),
         constant=-1,
     ),
     # (-q^2,-q^4;q^6) - 1 - q^2/(1-q^2) + q^6/(1-q^6); the -1 removes the
     # product's empty-partition term so the constant coefficient is 0
+    # (-q^2,-q^4;q^6) = (-q^2,-q^4,q^6;q^6)/(q^6;q^6)
     Family.MOD3: SeriesRecipe(
-        product=PochhammerSpec(((-1, 2, 6), (-1, 4, 6))),
-        inverted=False,
+        numerator=PochhammerSpec(((-1, 2, 6), (-1, 4, 6), (1, 6, 6))),
+        denominator=PochhammerSpec(((1, 6, 6),)),
         corrections=((-1, GeometricSpec(2, 2)), (1, GeometricSpec(6, 6))),
         constant=-1,
     ),
     # 1/(q^2,q^10;q^12) - 1 - q^2/(1-q^12) - q^10/(1-q^12); -1 as above
+    # 1/(q^2,q^10;q^12) = (q^12;q^12)/(q^2,q^10,q^12;q^12)
     Family.MOD6: SeriesRecipe(
-        product=PochhammerSpec(((1, 2, 12), (1, 10, 12))),
-        inverted=True,
+        numerator=PochhammerSpec(((1, 12, 12),)),
+        denominator=PochhammerSpec(((1, 2, 12), (1, 10, 12), (1, 12, 12))),
         corrections=((-1, GeometricSpec(2, 12)), (-1, GeometricSpec(10, 12))),
         constant=-1,
     ),

@@ -10,6 +10,11 @@ Two shapes cover everything the counting families need:
 * :class:`GeometricSpec` -- the comb q^k / (1 - q^d), i.e. coefficient 1 at
   every exponent k, k+d, k+2d, ...
 
+Two product shapes are theta series, with O(sqrt(N)) nonzero coefficients
+that :func:`pochhammer` writes down directly instead of multiplying out:
+Euler's (q^m;q^m) (pentagonal number theorem) and the three-factor
+(s*q^a, s*q^(m-a), q^m; q^m) with s = +-1 (Jacobi triple product).
+
 Infinite products with |q| < 1 make sense here only as formal series; no
 floating point is involved anywhere.
 """
@@ -60,15 +65,50 @@ class GeometricSpec:
             raise ValueError(f"period must be >= 1, got {self.period}")
 
 
+def _theta_shape(factors: tuple[PochhammerFactor, ...]) -> tuple[int, int, int] | None:
+    """(s, a, m) when the factors multiply to (s*q^a, s*q^(m-a), q^m; q^m), else None.
+
+    Euler's (q^m;q^m) is the case (q^m, q^(2m), q^(3m); q^(3m)).
+    """
+    if len(factors) == 1:
+        sign, offset, step = factors[0]
+        return (1, step, 3 * step) if sign == 1 and offset == step else None
+    if len(factors) != 3:
+        return None
+    m = factors[0].step
+    rest = list(factors)
+    if any(f.step != m for f in rest) or (1, m, m) not in rest:
+        return None
+    rest.remove((1, m, m))
+    (s1, a1, _), (s2, a2, _) = rest
+    # offsets are >= 1, so a1 + a2 == m puts both in [1, m-1]
+    return (s1, a1, m) if s1 == s2 and a1 + a2 == m else None
+
+
 def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
     """Expand the truncated product of all factors reaching exponents <= order.
 
     A factor whose lowest exponent already exceeds the order contributes
     nothing and is skipped; an empty factor list gives the constant 1.
+    The theta shapes (see the module docstring) cost O(sqrt(order)) after
+    the allocation; every other product costs O(order) per binomial.
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     coeffs = [0] * (order + 1)
+    shape = _theta_shape(spec.factors)
+    if shape is not None:
+        # Jacobi triple product, z = s*q^a:
+        #   (z, q^m/z, q^m; q^m) = sum over integers k of (-z)^k q^(m*k*(k-1)/2).
+        # The exponent grows with |k| on both sides of 0, so each side stops
+        # at the first exponent past the order.  With a = m/2, k and -k share
+        # an exponent, hence += rather than =.
+        s, a, m = shape
+        for k, step in ((0, 1), (-1, -1)):
+            while (e := m * k * (k - 1) // 2 + a * k) <= order:
+                coeffs[e] += (-s) ** abs(k)
+                k += step
+        return TruncatedSeries(tuple(coeffs))
     coeffs[0] = 1
     for sign, offset, step in spec.factors:
         e = offset

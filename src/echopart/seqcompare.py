@@ -1,9 +1,10 @@
 """OEIS-style b-files and alignment-hypothesis sequence comparison.
 
 A b-file is the OEIS per-sequence term listing: one "index value" pair per
-line, indices consecutive.  Reading accepts LF or CRLF and '#' comment
-lines; writing emits plain "index value\n" lines, so a read/write round
-trip is lossless modulo comment stripping and newline normalization.
+line, indices consecutive.  Reading accepts LF or CRLF, '#' comment lines,
+any run of spaces or tabs between the two numbers and around them; writing
+emits plain "index value\n" lines, so a read/write round trip is lossless
+modulo comment stripping and whitespace and newline normalization.
 
 Published term lists for these families do not always state which n each
 term belongs to.  Comparisons therefore never assert the reference values
@@ -33,7 +34,7 @@ PUBLISHED_MOD6_TERMS: tuple[int, ...] = (
     20, 23, 25, 30, 33,
 )
 
-_BFILE_LINE = re.compile(r"(-?\d+) (-?\d+)")
+_BFILE_LINE = re.compile(r"[ \t]*(-?\d+)[ \t]+(-?\d+)[ \t]*")
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,12 @@ def parse_bfile(text: str) -> BFile:
     values: list[int] = []
     expected: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if line.startswith("#") or line == "":
-            continue
-        m = _BFILE_LINE.fullmatch(line)
+        # splitlines() already dropped any CR; term lines are the common case
+        m = _BFILE_LINE.fullmatch(raw)
         if m is None:
+            line = raw.strip(" \t")
+            if line.startswith("#") or line == "":
+                continue
             raise ValueError(f"line {lineno}: malformed b-file line {line!r}")
         index, value = int(m.group(1)), int(m.group(2))
         if expected is None:

@@ -79,12 +79,17 @@ class TruncatedSeries:
     def __mul__(self, other: TruncatedSeries | int) -> TruncatedSeries:
         other = self._coerced(other)
         n = self.order
+        # the outer loop skips zeros, so give it the sparser operand:
+        # O(N * nonzeros) instead of O(N^2) when one side is a theta series
+        outer, inner = self.coeffs, other.coeffs
+        if outer.count(0) < inner.count(0):
+            outer, inner = inner, outer
         out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
+        for i, a in enumerate(outer):
             if a == 0:
                 continue
             for j in range(n - i + 1):
-                b = other.coeffs[j]
+                b = inner[j]
                 if b != 0:
                     out[i + j] += a * b
         return TruncatedSeries(tuple(out))
@@ -96,7 +101,9 @@ class TruncatedSeries:
 
         Over the integers this exists exactly when the constant term is a
         unit (+1 or -1).  Uses the standard recurrence
-        r[0] = 1/a[0], r[k] = -(sum_{i=1..k} a[i]*r[k-i]) / a[0].
+        r[0] = 1/a[0], r[k] = -(sum_{i=1..k} a[i]*r[k-i]) / a[0],
+        summing over the nonzero a[i] only, so the cost is
+        O(order * nonzero terms).
         """
         c0 = self.coeffs[0]
         if c0 not in (1, -1):
@@ -104,14 +111,15 @@ class TruncatedSeries:
                 f"constant term must be +1 or -1 to invert over the integers, got {c0}"
             )
         n = self.order
+        terms = [(i, a) for i, a in enumerate(self.coeffs) if i and a]
         inv = [0] * (n + 1)
         inv[0] = c0  # 1/c0 equals c0 for a unit of Z
         for k in range(1, n + 1):
             acc = 0
-            for i in range(1, k + 1):
-                a = self.coeffs[i]
-                if a != 0:
-                    acc += a * inv[k - i]
+            for i, a in terms:
+                if i > k:
+                    break
+                acc += a * inv[k - i]
             inv[k] = -acc * c0  # dividing by c0 is multiplying by it
         return TruncatedSeries(tuple(inv))
 

@@ -243,3 +243,17 @@ def test_criterion_09_bfile_round_trip(tmp_path):
     assert _report(
         9, not failures, "60 random round trips, 5 malformed rejections"
     ), failures
+
+
+def test_criterion_10_closed_form_matches_direct_to_2000():
+    """Closed-form coefficients equal direct counts for 0 <= n <= 2000,
+    all six families: the theta-quotient expansion at a higher order."""
+    start = time.perf_counter()
+    reports = [verify(family, 2000) for family in Family]
+    elapsed = time.perf_counter() - start
+
+    failures = [r.family.value for r in reports if not r.all_equal]
+    ok = not failures and all(len(r.records) == 2001 for r in reports)
+    assert _report(
+        10, ok, f"six families x 2001 coefficients, exact, in {elapsed:.2f}s"
+    ), failures

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from echopart import Family, GeometricSpec, direct_counts_upto, genfun_series
 from echopart import families as families_module
 from echopart.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run(capsys, *argv):
@@ -206,6 +209,24 @@ def test_remark_check_text(capsys):
     assert out.count("verdict:") == 4
     # every term row shows reference and computed side by side
     assert "reference  computed" in out
+
+
+def test_remark_check_output_is_pinned(capsys):
+    code, out, err = run(capsys, "remark-check", "120")
+    assert code == 0 and err == ""
+    assert out == (FIXTURES / "remark_check_120.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_remark_check_rejects_partial_coverage(capsys, fmt):
+    """Too low an order covers only some published terms: an error, not a verdict."""
+    code, out, err = run(capsys, "remark-check", "10", "--format", fmt)
+    assert code == 2 and out == ""
+    assert "covers only 3 of the 25 terms of Sequence 1 (mod3) under H1" in err
+    # the stated order is the least one that covers every term
+    needed = int(err.split("from order ")[1].split()[0])
+    assert run(capsys, "remark-check", str(needed))[0] == 0
+    assert run(capsys, "remark-check", str(needed - 1))[0] == 2
 
 
 def test_remark_check_json(capsys):

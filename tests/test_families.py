@@ -9,6 +9,8 @@ module is also run live against the fast code for small n.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 from echopart import (
@@ -24,6 +26,7 @@ from echopart import (
     verify,
 )
 from echopart import families as families_module
+from echopart import partitions as partitions_module
 
 # values at n = 0, 2, 4, ..., 30; odd n are all zero
 EXPECTED_EVEN = {
@@ -191,3 +194,37 @@ def test_corrupted_recipe_is_detected(monkeypatch):
     assert first.genfun == first.direct + 1
     # other families are untouched
     assert verify(Family.DISTINCT, 30).all_equal
+
+
+# The paper's product for each family, as (factors, inverted) for
+# bruteforce.product_coeffs; the recipes store it as a theta quotient.
+PAPER_PRODUCTS = {
+    Family.PLAIN: ([(1, 2, 2)], True),                     # 1/(q^2;q^2)
+    Family.DISTINCT: ([(-1, 2, 2)], False),                # (-q^2;q^2)
+    Family.ODD: ([(1, 2, 4)], True),                       # 1/(q^2;q^4)
+    Family.ODD_DISTINCT: ([(-1, 2, 4)], False),            # (-q^2;q^4)
+    Family.MOD3: ([(-1, 2, 6), (-1, 4, 6)], False),        # (-q^2,-q^4;q^6)
+    Family.MOD6: ([(1, 2, 12), (1, 10, 12)], True),        # 1/(q^2,q^10;q^12)
+}
+
+
+@given(family=st.sampled_from(list(Family)), order=st.integers(min_value=0, max_value=80))
+@settings(max_examples=60)
+def test_recipe_quotient_is_the_paper_product(family, order):
+    recipe = dataclasses.replace(families_module.RECIPES[family], corrections=(), constant=0)
+    factors, inverted = PAPER_PRODUCTS[family]
+    expected = bruteforce.product_coeffs(factors, order, inverted=inverted)
+    assert list(recipe.expand(order).coeffs) == expected
+
+
+def test_closed_form_route_never_counts_partitions(monkeypatch):
+    """The closed forms must not lean on the DP they are checked against."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closed-form route called the partition DP")
+
+    monkeypatch.setattr(partitions_module, "count_upto", forbidden)
+    monkeypatch.setattr(partitions_module, "count", forbidden)
+    for family in Family:
+        series = genfun_series(family, 200)
+        assert list(series.coeffs[:31:2]) == EXPECTED_EVEN[family]

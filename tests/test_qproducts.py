@@ -115,3 +115,84 @@ def test_factor_normalization():
         assert factor.sign in (1, -1)
         assert factor.offset >= 1
         assert factor.step >= 1
+
+
+# -- theta shapes: Euler's (q^m;q^m) and the triple (s*q^a, s*q^(m-a), q^m; q^m)
+
+
+def _binomial_loop(factors, order):
+    """The same product through the general binomial loop.
+
+    (q^m;q^m) = (q^m, q^(2m); q^(2m)) splits every (1, m, m) factor in two,
+    which no theta shape matches.
+    """
+    split = []
+    for sign, offset, step in factors:
+        if (sign, offset) == (1, step):
+            split += [(1, step, 2 * step), (1, 2 * step, 2 * step)]
+        else:
+            split.append((sign, offset, step))
+    return pochhammer(PochhammerSpec(tuple(split)), order)
+
+
+@st.composite
+def triple_factors(draw):
+    m = draw(st.integers(min_value=2, max_value=12))
+    a = draw(st.integers(min_value=1, max_value=m - 1))
+    s = draw(st.sampled_from((1, -1)))
+    return draw(st.permutations([(s, a, m), (s, m - a, m), (1, m, m)]))
+
+
+EULER_FACTORS = st.integers(min_value=1, max_value=12).map(lambda m: [(1, m, m)])
+ORDERS = st.integers(min_value=0, max_value=80)
+
+
+@given(factors=st.one_of(EULER_FACTORS, triple_factors()), order=ORDERS)
+@settings(max_examples=150)
+def test_theta_shapes_match_naive_expansion(factors, order):
+    series = pochhammer(PochhammerSpec(tuple(factors)), order)
+    assert list(series.coeffs) == bruteforce.product_coeffs(factors, order)
+    assert series == _binomial_loop(factors, order)
+
+
+THETA_SPECS = [
+    ((1, 1, 1),),                          # (q;q): pentagonal numbers
+    ((1, 3, 3),),
+    ((1, 1, 3), (1, 2, 3), (1, 3, 3)),     # (q, q^2, q^3; q^3) = (q;q)
+    ((-1, 1, 2), (-1, 1, 2), (1, 2, 2)),   # a = m/2: theta_3(q), twos at squares
+    ((1, 2, 2), (1, 1, 2), (1, 1, 2)),     # theta_4(q), any factor order
+    ((1, 12, 12), (-1, 2, 12), (-1, 10, 12)),
+    ((1, 5, 7), (1, 7, 7), (1, 2, 7)),
+]
+
+
+def _theta_exponents(factors, limit):
+    """Exponents of the nonzero coefficients, from the naive expansion."""
+    return [e for e, c in enumerate(bruteforce.product_coeffs(factors, limit)) if c]
+
+
+@pytest.mark.parametrize("factors", THETA_SPECS)
+def test_theta_shapes_at_edge_orders(factors):
+    """Orders 0, 1, 2 and orders landing exactly on a nonzero term."""
+    for order in sorted({0, 1, 2, *_theta_exponents(factors, 60)}):
+        series = pochhammer(PochhammerSpec(factors), order)
+        assert series == _binomial_loop(factors, order), order
+        assert list(series.coeffs) == bruteforce.product_coeffs(factors, order), order
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ((1, 2, 2), (1, 2, 2)),            # two factors
+        ((-1, 3, 3),),                     # (-q^3;q^3) is not Euler's
+        ((1, 1, 3), (1, 2, 3), (-1, 3, 3)),
+        ((1, 1, 4), (-1, 3, 4), (1, 4, 4)),  # mixed signs
+        ((1, 1, 4), (1, 2, 4), (1, 4, 4)),   # offsets do not sum to m
+        ((1, 1, 3), (1, 2, 6), (1, 3, 3)),   # mixed steps
+        ((1, 3, 3), (1, 3, 3), (1, 3, 3)),
+    ],
+)
+def test_near_theta_shapes_expand_by_binomials(factors):
+    assert list(pochhammer(PochhammerSpec(factors), 40).coeffs) == (
+        bruteforce.product_coeffs(factors, 40)
+    )

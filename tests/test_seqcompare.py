@@ -74,6 +74,23 @@ def test_file_round_trip(tmp_path):
     assert read_bfile(path) == b
 
 
+@pytest.mark.parametrize("line", ["0 1 ", "0\t1", "0  1", " 0 1"])
+def test_loose_whitespace_round_trips_to_canonical(line, tmp_path):
+    """b-files in the wild pad with spaces or tabs; the writer stays canonical."""
+    b = parse_bfile(f"# padded\n{line}\r\n  1\t \t-2\t\n")
+    assert b == BFile(offset=0, values=(1, -2))
+    path = tmp_path / "b.txt"
+    write_bfile(b, path)
+    assert path.read_bytes() == b"0 1\n1 -2\n"
+    assert read_bfile(path) == b
+
+
+def test_loose_whitespace_still_needs_two_numbers():
+    for text in ("0 1 2\n", "0\t\n", "01\n", "0 1x\n", "0 - 1\n"):
+        with pytest.raises(ValueError, match="line 1"):
+            parse_bfile(text)
+
+
 @given(
     offset=st.integers(min_value=-5, max_value=100),
     values=st.lists(st.integers(min_value=-(10**9), max_value=10**9), min_size=1, max_size=50),
