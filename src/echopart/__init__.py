@@ -9,7 +9,6 @@ q-series expansion and direct combinatorial counting) and compared.
 from .families import (
     CoefficientRecord,
     Family,
-    SeriesRecipe,
     VerificationReport,
     constraint_for,
     direct_count,
@@ -30,7 +29,6 @@ from .partitions import (
     Constraint,
     Partition,
     count,
-    count_series,
     count_upto,
     enumerate_partitions,
 )
@@ -38,6 +36,7 @@ from .qproducts import (
     GeometricSpec,
     PochhammerFactor,
     PochhammerSpec,
+    evaluate,
     geometric,
     pochhammer,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "PochhammerFactor",
     "PochhammerSpec",
     "SequenceComparison",
-    "SeriesRecipe",
     "TermRecord",
     "TruncatedSeries",
     "UNRESTRICTED",
@@ -88,11 +86,11 @@ __all__ = [
     "compare_published",
     "constraint_for",
     "count",
-    "count_series",
     "count_upto",
     "direct_count",
     "direct_counts_upto",
     "enumerate_partitions",
+    "evaluate",
     "genfun_series",
     "geometric",
     "list_partitions",

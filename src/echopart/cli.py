@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -17,17 +16,8 @@ from typing import Sequence
 from . import families, seqcompare
 from .families import Family, VerificationReport
 from .partitions import DEFAULT_ENUMERATION_CAP, Partition
-from .qproducts import GeometricSpec, PochhammerSpec, geometric, pochhammer
-from .series import TruncatedSeries
-
-OEIS_CROSS_REFERENCE = {
-    Family.PLAIN: "A000065",
-    Family.DISTINCT: "A111133",
-    Family.ODD: "A357456",
-    Family.ODD_DISTINCT: "A357457",
-    Family.MOD3: "-",
-    Family.MOD6: "-",
-}
+# perfbench's tracer requires the pochhammer and geometric bindings here
+from .qproducts import evaluate, geometric, pochhammer  # noqa: F401
 
 ODD_DISTINCT_TABLE_NOTE = (
     "note: for the odd-distinct family, a published tabulation lists the "
@@ -35,55 +25,6 @@ ODD_DISTINCT_TABLE_NOTE = (
     "partition of 8, not 10; the counts above come from direct enumeration "
     "(odd-distinct: n=8 -> 1, n=10 -> 0)."
 )
-
-_GEOMETRIC_EXPR = re.compile(r"q(?:\^(\d+))?/\(1-q(?:\^(\d+))?\)")
-_POCHHAMMER_EXPR = re.compile(r"(1/)?\(([^;()]+);q(?:\^(\d+))?\)")
-_POCHHAMMER_TERM = re.compile(r"(-)?q(?:\^(\d+))?")
-
-
-def _parse_expression(text: str, order: int) -> TruncatedSeries:
-    """A family token, a Pochhammer symbol, or a geometric term.
-
-    Accepted forms besides the six family names:
-      (q^2;q^2)          product of (1 - q^(2+2j))
-      1/(q^2;q^4)        its reciprocal
-      (-q^2,-q^4;q^6)    multi-parameter, '-' turns a factor into (1 + ...)
-      q^2/(1-q^4)        geometric comb
-    """
-    compact = text.strip().replace(" ", "")
-    try:
-        family = Family.from_token(compact)
-    except ValueError:
-        pass
-    else:
-        return families.genfun_series(family, order)
-
-    m = _GEOMETRIC_EXPR.fullmatch(compact)
-    if m is not None:
-        numerator = int(m.group(1) or 1)
-        period = int(m.group(2) or 1)
-        return geometric(GeometricSpec(numerator, period), order)
-
-    m = _POCHHAMMER_EXPR.fullmatch(compact)
-    if m is not None:
-        inverted, terms, step = m.group(1), m.group(2), int(m.group(3) or 1)
-        factors = []
-        for term in terms.split(","):
-            t = _POCHHAMMER_TERM.fullmatch(term)
-            if t is None:
-                raise ValueError(f"bad factor {term!r} in {text!r}")
-            sign = -1 if t.group(1) else 1
-            offset = int(t.group(2) or 1)
-            factors.append((sign, offset, step))
-        product = pochhammer(PochhammerSpec(tuple(factors)), order)
-        return product.invert() if inverted else product
-
-    known = ", ".join(f.value for f in Family)
-    raise ValueError(
-        f"cannot parse {text!r}: expected a family ({known}), a Pochhammer "
-        "symbol like (q^2;q^2) or 1/(-q^2,-q^4;q^6), or a geometric term "
-        "like q^2/(1-q^4)"
-    )
 
 
 def _format_partition(p: Partition) -> str:
@@ -105,9 +46,12 @@ def _json_text(obj: object) -> str:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    if args.order < 0:
-        raise ValueError(f"order must be non-negative, got {args.order}")
-    series = _parse_expression(args.expression, args.order)
+    try:
+        family = Family.from_token(args.expression.replace(" ", ""))
+    except ValueError:
+        series = evaluate(args.expression, args.order)
+    else:
+        series = families.genfun_series(family, args.order)
     rows = [(n, series.coefficient(n)) for n in range(args.order + 1)]
     if args.format == "text":
         text = "".join(f"{n} {value}\n" for n, value in rows)
@@ -194,7 +138,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             if witnesses
             else "(none)"
         )
-        rows.append((family.value, value, OEIS_CROSS_REFERENCE[family], shown))
+        rows.append((family.value, value, families.OEIS_CROSS_REFERENCE[family], shown))
     count_width = max(5, max(len(str(v)) for _, v, _, _ in rows))
     oeis_width = max(4, max(len(x) for _, _, x, _ in rows))
     lines.append(
@@ -215,7 +159,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 # -- remark-check ---------------------------------------------------------
 
 
-def _comparison_text(comparison: seqcompare.SequenceComparison) -> list[str]:
+def _comparison_text(comparison: seqcompare.SequenceComparison, details) -> str:
+    """The comparison's name, then per hypothesis its header and ``details(hyp)``."""
     lines = [comparison.name]
     for hyp in comparison.hypotheses:
         lines.append(f"  {hyp.label}: {hyp.description}")
@@ -223,15 +168,29 @@ def _comparison_text(comparison: seqcompare.SequenceComparison) -> list[str]:
             f"  verdict: {hyp.verdict} "
             f"({hyp.covered} of {hyp.total_terms} terms covered)"
         )
-        if hyp.records:
-            lines.append("  term  n    reference  computed  match")
-            for r in hyp.records:
-                lines.append(
-                    f"  {r.position:<4}  {r.n:<3}  {r.reference:<9}  "
-                    f"{r.computed:<8}  {'yes' if r.match else 'NO'}"
-                )
+        lines.extend(details(hyp))
         lines.append("")
-    return lines
+    return "".join(line + "\n" for line in lines)
+
+
+def _term_table(hyp: seqcompare.HypothesisResult) -> list[str]:
+    if not hyp.records:
+        return []
+    return ["  term  n    reference  computed  match"] + [
+        f"  {r.position:<4}  {r.n:<3}  {r.reference:<9}  "
+        f"{r.computed:<8}  {'yes' if r.match else 'NO'}"
+        for r in hyp.records
+    ]
+
+
+def _first_divergence(hyp: seqcompare.HypothesisResult) -> list[str]:
+    first = next((r for r in hyp.records if not r.match), None)
+    if first is None:
+        return []
+    return [
+        f"  first divergence: term {first.position} at n={first.n} "
+        f"(reference {first.reference}, computed {first.computed})"
+    ]
 
 
 def _full_coverage_order(order: int) -> int:
@@ -265,10 +224,7 @@ def cmd_remark_check(args: argparse.Namespace) -> int:
             }
         )
     else:
-        lines = []
-        for comparison in comparisons:
-            lines.extend(_comparison_text(comparison))
-        text = "".join(line + "\n" for line in lines)
+        text = "".join(_comparison_text(c, _term_table) for c in comparisons)
     _emit(text, args.output)
     return 0
 
@@ -305,21 +261,7 @@ def cmd_bfile_compare(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = _json_text(comparison.to_json_dict())
     else:
-        lines = [comparison.name]
-        for hyp in comparison.hypotheses:
-            lines.append(f"  {hyp.label}: {hyp.description}")
-            lines.append(
-                f"  verdict: {hyp.verdict} "
-                f"({hyp.covered} of {hyp.total_terms} terms covered)"
-            )
-            first = next((r for r in hyp.records if not r.match), None)
-            if first is not None:
-                lines.append(
-                    f"  first divergence: term {first.position} at n={first.n} "
-                    f"(reference {first.reference}, computed {first.computed})"
-                )
-            lines.append("")
-        text = "".join(line + "\n" for line in lines)
+        text = _comparison_text(comparison, _first_divergence)
     _emit(text, args.output)
     return 0
 
@@ -352,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "expression",
-        help=f"family ({family_tokens}) or expression like 1/(q^2;q^2) or q^2/(1-q^4)",
+        help=f"family ({family_tokens}) or expression like 1/(q^2;q^2) - 1/(1-q^2)",
     )
     p.add_argument("order", type=int, help="truncation order N")
     _add_common_flags(p, ("text", "csv", "json"))
@@ -422,6 +364,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "order", 0) < 0:
+            raise ValueError(f"order must be non-negative, got {args.order}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

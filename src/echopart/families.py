@@ -26,7 +26,8 @@ from typing import Mapping
 
 from . import partitions
 from .partitions import DEFAULT_ENUMERATION_CAP, Constraint, Partition
-from .qproducts import GeometricSpec, PochhammerSpec, geometric, pochhammer
+# perfbench's tracer requires the pochhammer and geometric bindings here
+from .qproducts import evaluate, geometric, pochhammer  # noqa: F401
 from .series import TruncatedSeries
 
 
@@ -50,31 +51,14 @@ class Family(Enum):
         raise ValueError(f"unknown family {text!r} (expected one of: {known})")
 
 
-@dataclass(frozen=True)
-class SeriesRecipe:
-    """Closed form: numerator/denominator + signed geometric combs + constant.
-
-    Both products are meant to be theta series (see :mod:`.qproducts`), so
-    the expansion is one sparse inversion and one sparse multiplication.
-    A missing numerator stands for 1.
-    """
-
-    numerator: PochhammerSpec | None
-    denominator: PochhammerSpec
-    corrections: tuple[tuple[int, GeometricSpec], ...] = ()
-    constant: int = 0
-
-    def expand(self, order: int) -> TruncatedSeries:
-        result = pochhammer(self.denominator, order).invert()
-        if self.numerator is not None:
-            result = result * pochhammer(self.numerator, order)
-        for sign, spec in self.corrections:
-            comb = geometric(spec, order)
-            result = result + comb if sign > 0 else result - comb
-        if self.constant != 0:
-            result = result + self.constant
-        return result
-
+OEIS_CROSS_REFERENCE: Mapping[Family, str] = {
+    Family.PLAIN: "A000065",
+    Family.DISTINCT: "A111133",
+    Family.ODD: "A357456",
+    Family.ODD_DISTINCT: "A357457",
+    Family.MOD3: "-",
+    Family.MOD6: "-",
+}
 
 CONSTRAINTS: Mapping[Family, Constraint] = {
     Family.PLAIN: partitions.UNRESTRICTED,
@@ -85,55 +69,23 @@ CONSTRAINTS: Mapping[Family, Constraint] = {
     Family.MOD6: partitions.MOD6,
 }
 
-# Each paper product is stored as a quotient of theta series; the comment
-# line under each paper formula gives the identity used.
-RECIPES: Mapping[Family, SeriesRecipe] = {
-    # 1/(q^2;q^2) - 1/(1-q^2)
-    Family.PLAIN: SeriesRecipe(
-        numerator=None,
-        denominator=PochhammerSpec(((1, 2, 2),)),
-        corrections=((-1, GeometricSpec(0, 2)),),
-    ),
-    # (-q^2;q^2) - 1/(1-q^2)
-    # (-q^2;q^2) = (q^4;q^4)/(q^2;q^2) by (1 + x) = (1 - x^2)/(1 - x)
-    Family.DISTINCT: SeriesRecipe(
-        numerator=PochhammerSpec(((1, 4, 4),)),
-        denominator=PochhammerSpec(((1, 2, 2),)),
-        corrections=((-1, GeometricSpec(0, 2)),),
-    ),
-    # 1/(q^2;q^4) - q^2/(1-q^4) - 1
-    # 1/(q^2;q^4) = (q^4;q^4)/(q^2;q^2), as (q^2;q^2) = (q^2;q^4)(q^4;q^4)
-    Family.ODD: SeriesRecipe(
-        numerator=PochhammerSpec(((1, 4, 4),)),
-        denominator=PochhammerSpec(((1, 2, 2),)),
-        corrections=((-1, GeometricSpec(2, 4)),),
-        constant=-1,
-    ),
-    # (-q^2;q^4) - q^2/(1-q^4) - 1
-    # (-q^2;q^4) = (-q^2,-q^6;q^8) = (-q^2,-q^6,q^8;q^8)/(q^8;q^8)
-    Family.ODD_DISTINCT: SeriesRecipe(
-        numerator=PochhammerSpec(((-1, 2, 8), (-1, 6, 8), (1, 8, 8))),
-        denominator=PochhammerSpec(((1, 8, 8),)),
-        corrections=((-1, GeometricSpec(2, 4)),),
-        constant=-1,
-    ),
-    # (-q^2,-q^4;q^6) - 1 - q^2/(1-q^2) + q^6/(1-q^6); the -1 removes the
-    # product's empty-partition term so the constant coefficient is 0
-    # (-q^2,-q^4;q^6) = (-q^2,-q^4,q^6;q^6)/(q^6;q^6)
-    Family.MOD3: SeriesRecipe(
-        numerator=PochhammerSpec(((-1, 2, 6), (-1, 4, 6), (1, 6, 6))),
-        denominator=PochhammerSpec(((1, 6, 6),)),
-        corrections=((-1, GeometricSpec(2, 2)), (1, GeometricSpec(6, 6))),
-        constant=-1,
-    ),
-    # 1/(q^2,q^10;q^12) - 1 - q^2/(1-q^12) - q^10/(1-q^12); -1 as above
-    # 1/(q^2,q^10;q^12) = (q^12;q^12)/(q^2,q^10,q^12;q^12)
-    Family.MOD6: SeriesRecipe(
-        numerator=PochhammerSpec(((1, 12, 12),)),
-        denominator=PochhammerSpec(((1, 2, 12), (1, 10, 12), (1, 12, 12))),
-        corrections=((-1, GeometricSpec(2, 12)), (-1, GeometricSpec(10, 12))),
-        constant=-1,
-    ),
+# Each closed form is the paper's formula with its product rewritten as a
+# quotient of theta series, which qproducts expands sparsely.  The comment
+# gives the paper's formula and the identity used.  A trailing - 1 cancels
+# the product's constant term, so every constant coefficient is 0.
+RECIPES: Mapping[Family, str] = {
+    # 1/(q^2;q^2) - 1/(1-q^2), whose (q^2;q^2) is Euler's product already
+    Family.PLAIN: "1/(q^2;q^2) - 1/(1-q^2)",
+    # (-q^2;q^2) - 1/(1-q^2), by (1 + x) = (1 - x^2)/(1 - x)
+    Family.DISTINCT: "(q^4;q^4)/(q^2;q^2) - 1/(1-q^2)",
+    # 1/(q^2;q^4) - q^2/(1-q^4) - 1, by (q^2;q^2) = (q^2;q^4)(q^4;q^4)
+    Family.ODD: "(q^4;q^4)/(q^2;q^2) - q^2/(1-q^4) - 1",
+    # (-q^2;q^4) - q^2/(1-q^4) - 1; (-q^2;q^4) = (-q^2,-q^6;q^8), times (q^8;q^8)/itself
+    Family.ODD_DISTINCT: "(-q^2,-q^6,q^8;q^8)/(q^8;q^8) - q^2/(1-q^4) - 1",
+    # (-q^2,-q^4;q^6) - 1 - q^2/(1-q^2) + q^6/(1-q^6), times (q^6;q^6)/itself
+    Family.MOD3: "(-q^2,-q^4,q^6;q^6)/(q^6;q^6) - q^2/(1-q^2) + q^6/(1-q^6) - 1",
+    # 1/(q^2,q^10;q^12) - 1 - q^2/(1-q^12) - q^10/(1-q^12), times (q^12;q^12)/itself
+    Family.MOD6: "(q^12;q^12)/(q^2,q^10,q^12;q^12) - q^2/(1-q^12) - q^10/(1-q^12) - 1",
 }
 
 
@@ -161,11 +113,7 @@ def direct_count(family: Family, n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if n == 0 or n % 2 == 1:
-        return 0
-    largest = n // 2
-    total = partitions.count(largest, constraint_for(family))
-    return total - (1 if singleton_allowed(family, largest) else 0)
+    return direct_counts_upto(family, n)[n]
 
 
 def direct_counts_upto(family: Family, limit: int) -> list[int]:
@@ -182,7 +130,7 @@ def direct_counts_upto(family: Family, limit: int) -> list[int]:
 
 def genfun_series(family: Family, order: int) -> TruncatedSeries:
     """Expand the family's closed-form generating function to the given order."""
-    return RECIPES[family].expand(order)
+    return evaluate(RECIPES[family], order)
 
 
 def list_partitions(

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import TruncatedSeries
-
 Partition = tuple[int, ...]
 
 DEFAULT_ENUMERATION_CAP = 120
@@ -134,22 +132,3 @@ def _descend(
             continue
         next_max = part - 1 if constraint.distinct else part
         _descend(remaining - part, next_max, constraint, prefix + (part,), out)
-
-
-def count_series(
-    constraint: Constraint, order: int, exponent_scale: int = 1
-) -> TruncatedSeries:
-    """Series whose coefficient of q^(scale*n) is count(n, constraint).
-
-    Scale 2 realizes the reindexing q -> q^2 that the family closed forms
-    live in; all other exponents are zero.
-    """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
-    if exponent_scale < 1:
-        raise ValueError(f"exponent_scale must be >= 1, got {exponent_scale}")
-    counts = count_upto(order // exponent_scale, constraint)
-    coeffs = [0] * (order + 1)
-    for i, c in enumerate(counts):
-        coeffs[i * exponent_scale] = c
-    return TruncatedSeries(tuple(coeffs))

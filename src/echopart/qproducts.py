@@ -15,16 +15,21 @@ that :func:`pochhammer` writes down directly instead of multiplying out:
 Euler's (q^m;q^m) (pentagonal number theorem) and the three-factor
 (s*q^a, s*q^(m-a), q^m; q^m) with s = +-1 (Jacobi triple product).
 
+:func:`evaluate` reads the paper's notation, signed sums such as
+``(q^4;q^4)/(q^2;q^2) - q^2/(1-q^4) - 1``, and expands them with these
+builders; the family recipes and ``echopart expand`` share it.
+
 Infinite products with |q| < 1 make sense here only as formal series; no
 floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, monomial
 
 
 class PochhammerFactor(NamedTuple):
@@ -131,3 +136,76 @@ def geometric(spec: GeometricSpec, order: int) -> TruncatedSeries:
     for e in range(spec.numerator, order + 1, spec.period):
         coeffs[e] = 1
     return TruncatedSeries(tuple(coeffs))
+
+
+# The grammar of evaluate(); re compiles and caches it on the first call,
+# so importing the module costs nothing.
+_SYMBOL = r"\(([^;()]+);(q(?:\^\d+)?)\)"
+_TERM = (
+    r"([+-]?)(?:(\d+)(?![\d/])"                  # integer constant
+    r"|(1|q(?:\^\d+)?)/\(1-(q(?:\^\d+)?)\)"      # comb q^k/(1-q^d)
+    rf"|1/{_SYMBOL}|{_SYMBOL}(?:/{_SYMBOL})?)"    # 1/(den), (num), (num)/(den)
+)
+
+
+def _exponent(power: str) -> int:
+    """The exponent of '1', 'q' or 'q^k'."""
+    return 0 if power == "1" else int(power[2:] or 1)
+
+
+def _symbol(factors: str, step: str, order: int) -> TruncatedSeries:
+    """Expand the symbol (factors;step), e.g. factors '-q^2,-q^4' and step 'q^6'."""
+    spec = []
+    for factor in factors.split(","):
+        if re.fullmatch(r"-?q(?:\^\d+)?", factor) is None:
+            raise ValueError(f"bad factor {factor!r} in a Pochhammer symbol")
+        sign = -1 if factor[0] == "-" else 1
+        spec.append((sign, _exponent(factor.lstrip("-")), _exponent(step)))
+    return pochhammer(PochhammerSpec(tuple(spec)), order)
+
+
+def evaluate(text: str, order: int) -> TruncatedSeries:
+    """Expand a signed sum of q-expression terms to the given order.
+
+    Terms, spaces ignored:
+      3                    an integer constant
+      q^2/(1-q^4)          a comb; 1/(1-q^4) is q^0/(1-q^4)
+      (-q^2,-q^4;q^6)      a Pochhammer symbol; '-' makes a factor (1 + ...)
+      1/(q^2;q^2)          its reciprocal
+      (q^4;q^4)/(q^2;q^2)  a quotient: the denominator is expanded and
+                           inverted first, then multiplied by the numerator
+    The first term starts the sum and may carry a sign; every later term
+    is added or subtracted according to its sign.
+    """
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
+    compact = text.strip().replace(" ", "")
+    term = re.compile(_TERM)
+    result, pos = None, 0
+    while result is None or pos < len(compact):
+        m = term.match(compact, pos)
+        if m is None or (result is not None and not m[1]):
+            raise ValueError(
+                f"cannot parse {text!r} at {compact[pos:]!r}: expected a signed sum of "
+                "integers, combs like q^2/(1-q^4) and q-products like (-q^2,-q^4;q^6), "
+                "1/(q^2;q^2) or (q^4;q^4)/(q^2;q^2)"
+            )
+        pos = m.end()
+        sign, constant, k, d, recip, recip_step, num, num_step, den, den_step = m.groups()
+        if constant is not None:
+            c = -int(constant) if sign == "-" else int(constant)
+            result = monomial(c, 0, order) if result is None else result + c
+            continue
+        if k is not None:
+            value = geometric(GeometricSpec(_exponent(k), _exponent(d)), order)
+        elif recip is not None:
+            value = _symbol(recip, recip_step, order).invert()
+        elif den is None:
+            value = _symbol(num, num_step, order)
+        else:
+            value = _symbol(den, den_step, order).invert() * _symbol(num, num_step, order)
+        if result is None:
+            result = -value if sign == "-" else value
+        else:
+            result = result - value if sign == "-" else result + value
+    return result

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .families import Family, direct_counts_upto
 
@@ -162,20 +162,31 @@ class SequenceComparison:
         }
 
 
+def _hypothesis(
+    label: str,
+    description: str,
+    total_terms: int,
+    triples: Iterable[tuple[int, int, int]],
+    coefficients: Sequence[int],
+) -> HypothesisResult:
+    """Pair each (position, n, reference) with the coefficient at n.
+
+    A term whose n falls outside the computed order is left uncovered.
+    """
+    records = tuple(
+        TermRecord(position=i, n=n, reference=ref, computed=coefficients[n])
+        for i, n, ref in triples
+        if 0 <= n < len(coefficients)
+    )
+    return HypothesisResult(label, description, total_terms, records)
+
+
 def _h2_nonzero(
     reference: Sequence[int], coefficients: Sequence[int], description: str
 ) -> HypothesisResult:
-    nonzero = [(n, c) for n, c in enumerate(coefficients) if c != 0]
-    records = tuple(
-        TermRecord(position=i, n=n, reference=ref, computed=c)
-        for i, (ref, (n, c)) in enumerate(zip(reference, nonzero))
-    )
-    return HypothesisResult(
-        label="H2",
-        description=description,
-        total_terms=len(reference),
-        records=records,
-    )
+    nonzero = [n for n, c in enumerate(coefficients) if c != 0]
+    triples = ((i, n, ref) for i, (ref, n) in enumerate(zip(reference, nonzero)))
+    return _hypothesis("H2", description, len(reference), triples, coefficients)
 
 
 def compare_published(
@@ -198,20 +209,13 @@ def compare_published(
             records=(),
         )
     else:
-        records = []
-        for i, ref in enumerate(reference):
-            n = first_nonzero + 2 * i
-            if n >= len(coefficients):
-                break
-            records.append(
-                TermRecord(position=i, n=n, reference=ref, computed=coefficients[n])
-            )
-        h1 = HypothesisResult(
-            label="H1",
-            description=f"term i is the coefficient at n = {first_nonzero} + 2*i "
+        h1 = _hypothesis(
+            "H1",
+            f"term i is the coefficient at n = {first_nonzero} + 2*i "
             "(successive even n from the first nonzero coefficient)",
-            total_terms=len(reference),
-            records=tuple(records),
+            len(reference),
+            ((i, first_nonzero + 2 * i, ref) for i, ref in enumerate(reference)),
+            coefficients,
         )
     h2 = _h2_nonzero(
         reference,
@@ -231,19 +235,12 @@ def compare_bfile(
     entries match the plain family).  H2 ignores the indices and pairs the
     values with the nonzero coefficients in increasing n order.
     """
-    records = []
-    for position, (index, value) in enumerate(bfile.terms()):
-        n = 2 * index
-        if n < 0 or n >= len(coefficients):
-            continue
-        records.append(
-            TermRecord(position=position, n=n, reference=value, computed=coefficients[n])
-        )
-    h1 = HypothesisResult(
-        label="H1",
-        description="b-file index i holds the coefficient at n = 2*i",
-        total_terms=len(bfile.values),
-        records=tuple(records),
+    h1 = _hypothesis(
+        "H1",
+        "b-file index i holds the coefficient at n = 2*i",
+        len(bfile.values),
+        ((i, 2 * index, value) for i, (index, value) in enumerate(bfile.terms())),
+        coefficients,
     )
     h2 = _h2_nonzero(
         bfile.values,

@@ -1,10 +1,9 @@
-import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from echopart import Family, GeometricSpec, direct_counts_upto, genfun_series
+from echopart import Family, direct_counts_upto, genfun_series
 from echopart import families as families_module
 from echopart.cli import main
 
@@ -129,10 +128,7 @@ def test_verify_json_all(capsys):
 
 def test_verify_exit_status_on_mismatch(capsys, monkeypatch):
     """Corrupting a recipe must flip the exit status and name the first bad n."""
-    good = families_module.RECIPES[Family.ODD]
-    bad = dataclasses.replace(
-        good, corrections=good.corrections + ((1, GeometricSpec(9, 50)),)
-    )
+    bad = families_module.RECIPES[Family.ODD] + " + q^9/(1-q^50)"
     monkeypatch.setitem(families_module.RECIPES, Family.ODD, bad)
 
     code, out, _ = run(capsys, "verify", "odd", "30")
@@ -296,6 +292,19 @@ def test_bfile_round_trip_through_cli(capsys, tmp_path):
     assert all(
         r["computed"] == expected[r["n"]] for r in h1["records"]
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["remark-check", "-1"],
+        ["bfile-export", "plain", "--order", "-1"],
+        ["bfile-compare", str(FIXTURES / "b000065.txt"), "plain", "--order", "-1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_order_is_reported_as_order(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: order must be non-negative, got -1\n")
 
 
 def test_bfile_compare_missing_file(capsys, tmp_path):

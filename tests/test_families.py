@@ -6,7 +6,7 @@ largest part equals the sum of the rest) and are frozen here; the same
 module is also run live against the fast code for small n.
 """
 
-import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +16,10 @@ import bruteforce
 from echopart import (
     CoefficientRecord,
     Family,
-    GeometricSpec,
     constraint_for,
     direct_count,
     direct_counts_upto,
+    evaluate,
     genfun_series,
     list_partitions,
     singleton_allowed,
@@ -27,6 +27,7 @@ from echopart import (
 )
 from echopart import families as families_module
 from echopart import partitions as partitions_module
+from echopart import qproducts
 
 # values at n = 0, 2, 4, ..., 30; odd n are all zero
 EXPECTED_EVEN = {
@@ -182,10 +183,7 @@ def test_verify_order_zero():
 
 def test_corrupted_recipe_is_detected(monkeypatch):
     """Negative control: a recipe with an extra comb must fail verification."""
-    good = families_module.RECIPES[Family.PLAIN]
-    bad = dataclasses.replace(
-        good, corrections=good.corrections + ((1, GeometricSpec(7, 9)),)
-    )
+    bad = families_module.RECIPES[Family.PLAIN] + " + q^7/(1-q^9)"
     monkeypatch.setitem(families_module.RECIPES, Family.PLAIN, bad)
     report = verify(Family.PLAIN, 30)
     assert not report.all_equal
@@ -211,10 +209,11 @@ PAPER_PRODUCTS = {
 @given(family=st.sampled_from(list(Family)), order=st.integers(min_value=0, max_value=80))
 @settings(max_examples=60)
 def test_recipe_quotient_is_the_paper_product(family, order):
-    recipe = dataclasses.replace(families_module.RECIPES[family], corrections=(), constant=0)
+    # the first term is the product; the combs and the constant follow it
+    quotient = re.split(r" [-+] ", families_module.RECIPES[family])[0]
     factors, inverted = PAPER_PRODUCTS[family]
     expected = bruteforce.product_coeffs(factors, order, inverted=inverted)
-    assert list(recipe.expand(order).coeffs) == expected
+    assert list(evaluate(quotient, order).coeffs) == expected
 
 
 def test_closed_form_route_never_counts_partitions(monkeypatch):
@@ -228,3 +227,20 @@ def test_closed_form_route_never_counts_partitions(monkeypatch):
     for family in Family:
         series = genfun_series(family, 200)
         assert list(series.coeffs[:31:2]) == EXPECTED_EVEN[family]
+
+
+def test_recipes_expand_only_theta_products(monkeypatch):
+    """Every product a recipe expands stays on pochhammer's sparse path."""
+    specs = []
+    original = qproducts.pochhammer
+
+    def recording(spec, order):
+        specs.append(spec)
+        return original(spec, order)
+
+    monkeypatch.setattr(qproducts, "pochhammer", recording)
+    for family in Family:
+        genfun_series(family, 50)
+    # plain is one reciprocal, every other family one quotient
+    assert len(specs) == 2 * len(Family) - 1
+    assert all(qproducts._theta_shape(spec.factors) is not None for spec in specs)

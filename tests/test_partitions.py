@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +16,10 @@ from echopart import (
     UNRESTRICTED,
     Constraint,
     count,
-    count_series,
     count_upto,
     enumerate_partitions,
 )
+from echopart import partitions as partitions_module
 
 PRESETS = {
     "unrestricted": UNRESTRICTED,
@@ -165,26 +168,21 @@ def test_schur_identity():
     assert count_upto(60, MOD3_DISTINCT) == count_upto(60, MOD6)
 
 
-def test_count_series_scaling():
-    s = count_series(ODD, 12, exponent_scale=2)
-    for n in range(13):
-        if n % 2:
-            assert s.coefficient(n) == 0
-        else:
-            assert s.coefficient(n) == count(n // 2, ODD)
-    plain = count_series(UNRESTRICTED, 8)
-    assert plain.coeffs == (1, 1, 2, 3, 5, 7, 11, 15, 22)
-
-
-def test_count_series_validation():
-    with pytest.raises(ValueError):
-        count_series(ODD, -1)
-    with pytest.raises(ValueError):
-        count_series(ODD, 5, exponent_scale=0)
-
-
 @given(n=st.integers(min_value=0, max_value=40))
 @settings(max_examples=30)
 def test_distinct_never_exceeds_unrestricted(n):
     assert count(n, DISTINCT) <= count(n, UNRESTRICTED)
     assert count(n, ODD_DISTINCT) <= count(n, ODD)
+
+
+def test_partitions_imports_nothing_from_the_closed_form_side():
+    """The DP must not share code with the series route it is checked against."""
+    tree = ast.parse(Path(partitions_module.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert not names & {"series", "qproducts"}

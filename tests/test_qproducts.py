@@ -9,11 +9,14 @@ from echopart import (
     PochhammerSpec,
     UNRESTRICTED,
     count_upto,
+    evaluate,
     geometric,
     monomial,
     one,
     pochhammer,
+    zero,
 )
+from echopart import qproducts
 
 EULER = PochhammerSpec(((1, 1, 1),))  # (q;q)_inf
 
@@ -196,3 +199,151 @@ def test_near_theta_shapes_expand_by_binomials(factors):
     assert list(pochhammer(PochhammerSpec(factors), 40).coeffs) == (
         bruteforce.product_coeffs(factors, 40)
     )
+
+
+# -- evaluate: signed sums of constants, combs, symbols, reciprocals, quotients
+
+
+def _q(e, draw):
+    """q^e as text, sometimes as the bare 'q' or an explicit 'q^1'."""
+    return "q" if e == 1 and draw(st.booleans()) else f"q^{e}"
+
+
+@st.composite
+def symbols(draw):
+    """(text, factors) of a Pochhammer symbol, steps 1-6, up to three factors."""
+    step = draw(st.integers(min_value=1, max_value=6))
+    parts = draw(
+        st.lists(
+            st.tuples(st.sampled_from((1, -1)), st.integers(min_value=1, max_value=8)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    body = ",".join(("-" if sign < 0 else "") + _q(e, draw) for sign, e in parts)
+    return f"({body};{_q(step, draw)})", [(sign, offset, step) for sign, offset in parts]
+
+
+@st.composite
+def terms(draw):
+    """(text, direct(order), oracle(order)) for one term.
+
+    direct builds the term from pochhammer/geometric/invert; oracle expands
+    it with tests/bruteforce.py alone.
+    """
+    kind = draw(st.sampled_from(("constant", "comb", "symbol", "reciprocal", "quotient")))
+    if kind == "constant":
+        c = draw(st.integers(min_value=0, max_value=5))
+        return str(c), lambda n: monomial(c, 0, n), lambda n: [c] + [0] * n
+    if kind == "comb":
+        k = draw(st.integers(min_value=0, max_value=8))
+        d = draw(st.integers(min_value=1, max_value=8))
+        numerator = "1" if k == 0 else _q(k, draw)
+        return (
+            f"{numerator}/(1-{_q(d, draw)})",
+            lambda n: geometric(GeometricSpec(k, d), n),
+            lambda n: [int(e >= k and (e - k) % d == 0) for e in range(n + 1)],
+        )
+    num_text, num = draw(symbols())
+    if kind == "symbol":
+        return (
+            num_text,
+            lambda n: pochhammer(PochhammerSpec(tuple(num)), n),
+            lambda n: bruteforce.product_coeffs(num, n),
+        )
+    if kind == "reciprocal":
+        return (
+            "1/" + num_text,
+            lambda n: pochhammer(PochhammerSpec(tuple(num)), n).invert(),
+            lambda n: bruteforce.product_coeffs(num, n, inverted=True),
+        )
+    den_text, den = draw(symbols())
+    return (
+        f"{num_text}/{den_text}",
+        lambda n: pochhammer(PochhammerSpec(tuple(den)), n).invert()
+        * pochhammer(PochhammerSpec(tuple(num)), n),
+        lambda n: bruteforce.poly_mul(
+            bruteforce.product_coeffs(num, n),
+            bruteforce.product_coeffs(den, n, inverted=True),
+            n,
+        ),
+    )
+
+
+@st.composite
+def sums(draw):
+    """(text, [(sign, direct, oracle), ...]); the first sign may be omitted."""
+    parts, text = [], ""
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        term_text, direct, oracle = draw(terms())
+        sign = draw(st.sampled_from(("+", "-") if i else ("", "+", "-")))
+        spaces = draw(st.sampled_from(("", " ")))
+        text += f"{spaces}{sign}{spaces}{term_text}"
+        parts.append((-1 if sign == "-" else 1, direct, oracle))
+    return text, parts
+
+
+@given(expr=sums(), order=st.integers(min_value=0, max_value=40))
+@settings(max_examples=150)
+def test_evaluate_matches_direct_composition_and_oracle(expr, order):
+    text, parts = expr
+    direct = zero(order)
+    oracle = [0] * (order + 1)
+    for sign, build, expand in parts:
+        direct = direct + build(order) if sign > 0 else direct - build(order)
+        oracle = [a + sign * b for a, b in zip(oracle, expand(order))]
+    series = evaluate(text, order)
+    assert series == direct
+    assert list(series.coeffs) == oracle
+
+
+def test_evaluate_calls_the_builders_denominator_first(monkeypatch):
+    """A quotient expands and inverts its denominator before the numerator."""
+    calls = []
+
+    def recording(name):
+        original = getattr(qproducts, name)
+
+        def record(spec, order):
+            calls.append((name, spec))
+            return original(spec, order)
+
+        return record
+
+    monkeypatch.setattr(qproducts, "pochhammer", recording("pochhammer"))
+    monkeypatch.setattr(qproducts, "geometric", recording("geometric"))
+    evaluate("(q^4;q^4)/(q^2;q^2) - q^2/(1-q^4)", 10)
+    assert calls == [
+        ("pochhammer", PochhammerSpec(((1, 2, 2),))),
+        ("pochhammer", PochhammerSpec(((1, 4, 4),))),
+        ("geometric", GeometricSpec(2, 4)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["((q;q)", "--q", "(q^0;q)", "(q;q^0)", "1/(1-q^0)", "", " ", "(q;q))",
+     "(q,;q)", "(;q)", "q^2", "1/(q;q)/(q;q)", "(q;q)(q;q)", "2(q;q)",
+     "12/(q;q)", "(q;q)+", "(q;q)*2", "(q;q)/", "(+q;q)", "plain"],
+)
+def test_evaluate_rejects_near_misses(text):
+    with pytest.raises(ValueError):
+        evaluate(text, 10)
+
+
+NEAR_GRAMMAR = st.text(alphabet="q^0129()/;,-+ ", max_size=30)
+
+
+@given(text=st.one_of(st.text(max_size=30), NEAR_GRAMMAR))
+@settings(max_examples=300)
+def test_evaluate_fuzz_raises_only_value_error(text):
+    try:
+        series = evaluate(text, 12)
+    except ValueError:
+        return
+    assert series.order == 12
+
+
+def test_evaluate_rejects_negative_order():
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        evaluate("(q;q)", -1)
