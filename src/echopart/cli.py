@@ -19,6 +19,8 @@ from .partitions import DEFAULT_ENUMERATION_CAP, Partition
 # perfbench's tracer requires the pochhammer and geometric bindings here
 from .qproducts import evaluate, geometric, pochhammer  # noqa: F401
 
+MAX_ORDER = 20_000  # the largest order any subcommand accepts
+
 ODD_DISTINCT_TABLE_NOTE = (
     "note: for the odd-distinct family, a published tabulation lists the "
     "value 2 at n=10 beside the single partition 4+3+1, which is a "
@@ -31,13 +33,6 @@ def _format_partition(p: Partition) -> str:
     return "+".join(str(part) for part in p)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
-
-
 def _json_text(obj: object) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -45,7 +40,7 @@ def _json_text(obj: object) -> str:
 # -- expand ---------------------------------------------------------------
 
 
-def cmd_expand(args: argparse.Namespace) -> int:
+def cmd_expand(args: argparse.Namespace) -> tuple[str, int]:
     try:
         family = Family.from_token(args.expression.replace(" ", ""))
     except ValueError:
@@ -65,38 +60,32 @@ def cmd_expand(args: argparse.Namespace) -> int:
                 "coefficients": [[n, value] for n, value in rows],
             }
         )
-    _emit(text, args.output)
-    return 0
+    return text, 0
 
 
 # -- verify ---------------------------------------------------------------
 
 
 def _report_line(report: VerificationReport) -> str:
-    total = len(report.records)
+    head, total = f"{report.family.value}: order {report.order}:", report.order + 1
     if report.all_equal:
-        return (
-            f"{report.family.value}: order {report.order}: "
-            f"all {total} coefficients agree"
-        )
+        return f"{head} all {total} coefficients agree"
     first = report.first_mismatch()
     return (
-        f"{report.family.value}: order {report.order}: "
-        f"{len(report.mismatches)} of {total} coefficients disagree, "
+        f"{head} {len(report.mismatches)} of {total} coefficients disagree, "
         f"first at n={first.n} (genfun {first.genfun}, direct {first.direct})"
     )
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     if args.family == "all":
         selected = list(Family)
     else:
         selected = [Family.from_token(args.family)]
     reports = [families.verify(family, args.order) for family in selected]
-    all_equal = all(r.all_equal for r in reports)
+    disagreeing = sum(not r.all_equal for r in reports)
     if args.format == "text":
         lines = [_report_line(r) for r in reports]
-        disagreeing = sum(1 for r in reports if not r.all_equal)
         if disagreeing:
             lines.append(f"RESULT: {disagreeing} of {len(reports)} families disagree")
         else:
@@ -110,16 +99,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         text = _json_text(reports[0].to_json_dict())
     else:
         text = _json_text(
-            {"reports": [r.to_json_dict() for r in reports], "all_equal": all_equal}
+            {"reports": [r.to_json_dict() for r in reports], "all_equal": not disagreeing}
         )
-    _emit(text, args.output)
-    return 0 if all_equal else 1
+    return text, 1 if disagreeing else 0
 
 
 # -- table ----------------------------------------------------------------
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
     n = args.n
     if n % 2 == 1:
         raise ValueError(f"totals are always even; there is no table for n={n}")
@@ -152,8 +140,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         )
     lines.append("")
     lines.append(ODD_DISTINCT_TABLE_NOTE)
-    _emit("".join(line + "\n" for line in lines), args.output)
-    return 0
+    return "".join(line + "\n" for line in lines), 0
 
 
 # -- remark-check ---------------------------------------------------------
@@ -205,7 +192,7 @@ def _full_coverage_order(order: int) -> int:
             return max(h.records[-1].n for h in hypotheses)
 
 
-def cmd_remark_check(args: argparse.Namespace) -> int:
+def cmd_remark_check(args: argparse.Namespace) -> tuple[str, int]:
     comparisons = seqcompare.remark_comparisons(args.order)
     for comparison in comparisons:
         for hyp in comparison.hypotheses:
@@ -225,14 +212,13 @@ def cmd_remark_check(args: argparse.Namespace) -> int:
         )
     else:
         text = "".join(_comparison_text(c, _term_table) for c in comparisons)
-    _emit(text, args.output)
-    return 0
+    return text, 0
 
 
 # -- b-files --------------------------------------------------------------
 
 
-def cmd_bfile_export(args: argparse.Namespace) -> int:
+def cmd_bfile_export(args: argparse.Namespace) -> tuple[str, int]:
     family = Family.from_token(args.family)
     coefficients = families.direct_counts_upto(family, args.order)
     if args.mode == "even":
@@ -248,11 +234,10 @@ def cmd_bfile_export(args: argparse.Namespace) -> int:
                 f"no nonzero coefficients for {family.value} at order {args.order}"
             )
         bfile = seqcompare.BFile(offset=1, values=values)
-    _emit(seqcompare.render_bfile(bfile), args.output)
-    return 0
+    return seqcompare.render_bfile(bfile), 0
 
 
-def cmd_bfile_compare(args: argparse.Namespace) -> int:
+def cmd_bfile_compare(args: argparse.Namespace) -> tuple[str, int]:
     family = Family.from_token(args.family)
     bfile = seqcompare.read_bfile(args.path)
     coefficients = families.direct_counts_upto(family, args.order)
@@ -262,8 +247,7 @@ def cmd_bfile_compare(args: argparse.Namespace) -> int:
         text = _json_text(comparison.to_json_dict())
     else:
         text = _comparison_text(comparison, _first_divergence)
-    _emit(text, args.output)
-    return 0
+    return text, 0
 
 
 # -- wiring ---------------------------------------------------------------
@@ -287,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     family_tokens = ", ".join(f.value for f in Family)
+    order_help = f"truncation order, at most {MAX_ORDER}"
 
     p = sub.add_parser(
         "expand",
@@ -294,9 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "expression",
-        help=f"family ({family_tokens}) or expression like 1/(q^2;q^2) - 1/(1-q^2)",
+        help=f"family ({family_tokens}) or expression like 1/(q^2;q^2) - 1/(1-q^2); "
+        "put -- before one that starts with -, as in: expand -- '-(q;q)' 3",
     )
-    p.add_argument("order", type=int, help="truncation order N")
+    p.add_argument("order", type=int, help=order_help)
     _add_common_flags(p, ("text", "csv", "json"))
     p.set_defaults(func=cmd_expand)
 
@@ -307,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "family", nargs="?", default="all", help=f"{family_tokens}, or 'all'"
     )
-    p.add_argument("order", nargs="?", type=int, default=200, help="truncation order")
+    p.add_argument("order", nargs="?", type=int, default=200, help=order_help)
     _add_common_flags(p, ("text", "json"))
     p.set_defaults(func=cmd_verify)
 
@@ -329,20 +315,21 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         type=int,
         default=120,
-        help="truncation order; too low to cover every published term is an error",
+        help=f"{order_help}; too low to cover every published term is an error",
     )
     _add_common_flags(p, ("text", "json"))
     p.set_defaults(func=cmd_remark_check)
 
     p = sub.add_parser("bfile-export", help="write a family's sequence as a b-file")
     p.add_argument("family", help=family_tokens)
-    p.add_argument("--order", type=int, default=200, help="truncation order")
+    p.add_argument("--order", type=int, default=200, help=order_help)
     p.add_argument(
         "--mode",
         choices=("even", "all", "nonzero"),
         default="even",
         help="even: index i holds the coefficient at n=2i; all: index n; "
-        "nonzero: nonzero coefficients reindexed from 1",
+        "nonzero: nonzero coefficients reindexed from 1 (bfile-compare "
+        "aligns only even and nonzero files)",
     )
     _add_common_flags(p, ())
     p.set_defaults(func=cmd_bfile_export)
@@ -353,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("path", help="local b-file path")
     p.add_argument("family", help=family_tokens)
-    p.add_argument("--order", type=int, default=200, help="truncation order")
+    p.add_argument("--order", type=int, default=200, help=order_help)
     _add_common_flags(p, ("text", "json"))
     p.set_defaults(func=cmd_bfile_compare)
 
@@ -364,9 +351,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "order", 0) < 0:
-            raise ValueError(f"order must be non-negative, got {args.order}")
-        return args.func(args)
+        order = getattr(args, "order", 0)
+        if order < 0:
+            raise ValueError(f"order must be non-negative, got {order}")
+        if order > MAX_ORDER:
+            raise ValueError(f"order must be at most {MAX_ORDER}, got {order}")
+        text, code = args.func(args)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            Path(args.output).write_text(text, encoding="utf-8", newline="")
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping
 
 from . import partitions
@@ -170,33 +171,38 @@ class CoefficientRecord:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Per-coefficient comparison of the two routes for one family."""
+    """The two routes' coefficients for n = 0..order, compared on demand."""
 
     family: Family
     order: int
-    records: tuple[CoefficientRecord, ...]
+    genfun: tuple[int, ...]
+    direct: tuple[int, ...]
 
     @property
     def all_equal(self) -> bool:
-        return all(r.equal for r in self.records)
+        return self.genfun == self.direct
+
+    @cached_property
+    def records(self) -> tuple[CoefficientRecord, ...]:
+        return tuple(
+            map(CoefficientRecord, range(self.order + 1), self.genfun, self.direct)
+        )
 
     @property
     def mismatches(self) -> tuple[CoefficientRecord, ...]:
-        return tuple(r for r in self.records if not r.equal)
+        pairs = enumerate(zip(self.genfun, self.direct))
+        return tuple(CoefficientRecord(n, g, d) for n, (g, d) in pairs if g != d)
 
     def first_mismatch(self) -> CoefficientRecord | None:
-        for r in self.records:
-            if not r.equal:
-                return r
-        return None
+        return next(iter(self.mismatches), None)
 
     def to_json_dict(self) -> dict:
         return {
             "variant": self.family.value,
             "order": self.order,
             "records": [
-                {"n": r.n, "genfun": r.genfun, "direct": r.direct, "equal": r.equal}
-                for r in self.records
+                {"n": n, "genfun": g, "direct": d, "equal": g == d}
+                for n, (g, d) in enumerate(zip(self.genfun, self.direct))
             ],
             "all_equal": self.all_equal,
         }
@@ -206,10 +212,6 @@ def verify(family: Family, order: int) -> VerificationReport:
     """Compare closed-form coefficients with direct counts for 0 <= n <= order."""
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    expansion = genfun_series(family, order)
-    direct = direct_counts_upto(family, order)
-    records = tuple(
-        CoefficientRecord(n, expansion.coefficient(n), direct[n])
-        for n in range(order + 1)
-    )
-    return VerificationReport(family=family, order=order, records=records)
+    genfun = genfun_series(family, order).coeffs
+    direct = tuple(direct_counts_upto(family, order))
+    return VerificationReport(family, order, genfun, direct)

@@ -89,8 +89,7 @@ def render_bfile(bfile: BFile) -> str:
 
 def write_bfile(bfile: BFile, path: str | Path) -> None:
     # newline="" keeps the writer byte-exact (LF only, even on Windows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_bfile(bfile))
+    Path(path).write_text(render_bfile(bfile), encoding="utf-8", newline="")
 
 
 @dataclass(frozen=True)

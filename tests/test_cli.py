@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from echopart import Family, direct_counts_upto, genfun_series
+from echopart import cli
 from echopart import families as families_module
 from echopart.cli import main
 
@@ -88,6 +89,42 @@ def test_expand_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "0 0\n1 0\n2 0\n3 0\n4 1\n"
+    for fmt in ("text", "csv", "json"):
+        argv = ["expand", "mod3", "12", "--format", fmt]
+        _, out, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_expand_expression_starting_with_minus(capsys):
+    assert run(capsys, "expand", "--", "-(q;q)", "3") == (0, "0 -1\n1 1\n2 1\n3 0\n", "")
+    with pytest.raises(SystemExit):
+        main(["expand", "--help"])
+    assert "put -- before one that starts with -" in " ".join(capsys.readouterr().out.split())
+
+
+ORDER_ARGVS = [
+    ["expand", "plain", "{}"],
+    ["verify", "plain", "{}"],
+    ["remark-check", "{}"],
+    ["bfile-export", "plain", "--order", "{}"],
+    ["bfile-compare", str(FIXTURES / "b000065.txt"), "plain", "--order", "{}"],
+]
+
+
+@pytest.mark.parametrize("argv", ORDER_ARGVS, ids=lambda argv: argv[0])
+def test_order_above_the_ceiling_is_rejected_at_once(capsys, argv):
+    order = 10**12
+    assert order > cli.MAX_ORDER
+    expected = f"error: order must be at most {cli.MAX_ORDER}, got {order}\n"
+    assert run(capsys, *(a.format(order) for a in argv)) == (2, "", expected)
+
+
+@pytest.mark.parametrize("argv", ORDER_ARGVS, ids=lambda argv: argv[0])
+def test_order_ceiling_boundary(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "MAX_ORDER", 120)
+    assert run(capsys, *(a.format(121) for a in argv))[0] == 2
+    assert run(capsys, *(a.format(120) for a in argv))[0] == 0
 
 
 def test_verify_single_family(capsys):
@@ -145,6 +182,18 @@ def test_verify_exit_status_on_mismatch(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["all_equal"] is False
     assert payload["records"][9] == {"n": 9, "genfun": 1, "direct": 0, "equal": False}
+
+
+def test_verify_mismatch_line_is_pinned(capsys, monkeypatch):
+    bad = families_module.RECIPES[Family.PLAIN] + " + q^7/(1-q^9)"
+    monkeypatch.setitem(families_module.RECIPES, Family.PLAIN, bad)
+    assert run(capsys, "verify", "plain", "30") == (
+        1,
+        "plain: order 30: 3 of 31 coefficients disagree, "
+        "first at n=7 (genfun 1, direct 0)\n"
+        "RESULT: 1 of 1 families disagree\n",
+        "",
+    )
 
 
 def test_verify_unknown_family(capsys):

@@ -194,6 +194,51 @@ def test_corrupted_recipe_is_detected(monkeypatch):
     assert verify(Family.DISTINCT, 30).all_equal
 
 
+def test_corrupted_recipe_report_is_pinned(monkeypatch):
+    """The derived views of a failing report, read from its two sequences."""
+    bad = families_module.RECIPES[Family.PLAIN] + " + q^7/(1-q^9)"
+    monkeypatch.setitem(families_module.RECIPES, Family.PLAIN, bad)
+    report = verify(Family.PLAIN, 30)
+    assert report.mismatches == (
+        CoefficientRecord(7, 1, 0),
+        CoefficientRecord(16, 22, 21),
+        CoefficientRecord(25, 1, 0),
+    )
+    assert report.mismatches == tuple(r for r in report.records if not r.equal)
+    assert report.first_mismatch() == CoefficientRecord(7, 1, 0)
+    expected = [(0, 0), (0, 0), (0, 0), (0, 0), (1, 1), (0, 0), (2, 2), (1, 0), (4, 4)]
+    assert verify(Family.PLAIN, 8).to_json_dict() == {
+        "variant": "plain",
+        "order": 8,
+        "records": [
+            {"n": n, "genfun": g, "direct": d, "equal": g == d}
+            for n, (g, d) in enumerate(expected)
+        ],
+        "all_equal": False,
+    }
+
+
+def test_records_are_built_on_first_read_only(monkeypatch):
+    built = []
+    original = families_module.CoefficientRecord
+
+    def counting(*args):
+        built.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(families_module, "CoefficientRecord", counting)
+    report = verify(Family.MOD6, 40)
+    assert report.genfun == report.direct == tuple(direct_counts_upto(Family.MOD6, 40))
+    assert report.all_equal and report.mismatches == () and report.first_mismatch() is None
+    assert report.to_json_dict()["records"][40]["genfun"] == report.genfun[40]
+    assert built == []
+    records = report.records
+    assert built == list(range(41))
+    assert report.records is records
+    assert built == list(range(41))
+    assert records == tuple(original(n, g, g) for n, g in enumerate(report.genfun))
+
+
 # The paper's product for each family, as (factors, inverted) for
 # bruteforce.product_coeffs; the recipes store it as a theta quotient.
 PAPER_PRODUCTS = {
