@@ -47,7 +47,7 @@ def cmd_expand(args: argparse.Namespace) -> tuple[str, int]:
         series = evaluate(args.expression, args.order)
     else:
         series = families.genfun_series(family, args.order)
-    rows = [(n, series.coefficient(n)) for n in range(args.order + 1)]
+    rows = enumerate(series.coeffs)  # each format branch reads it once
     if args.format == "text":
         text = "".join(f"{n} {value}\n" for n, value in rows)
     elif args.format == "csv":

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import partitions
 from .partitions import DEFAULT_ENUMERATION_CAP, Constraint, Partition
@@ -134,9 +134,7 @@ def genfun_series(family: Family, order: int) -> TruncatedSeries:
     return evaluate(RECIPES[family], order)
 
 
-def list_partitions(
-    family: Family, n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[Partition]:
+def list_partitions(family: Family, n: int) -> list[Partition]:
     """The family's partitions of even n, largest part first.
 
     Each is (largest,) followed by a constrained partition of the largest
@@ -147,17 +145,16 @@ def list_partitions(
         raise ValueError(f"n must be non-negative, got {n}")
     if n % 2 == 1:
         raise ValueError(f"totals are always even; no partitions of n={n}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     if n == 0:
         return []
     largest = n // 2
-    rest = partitions.enumerate_partitions(largest, constraint_for(family), cap=cap)
+    rest = partitions.enumerate_partitions(largest, constraint_for(family))
     return [(largest,) + p for p in rest if p != (largest,)]
 
 
-@dataclass(frozen=True)
-class CoefficientRecord:
+class CoefficientRecord(NamedTuple):
     """One compared index: closed-form value vs direct combinatorial value."""
 
     n: int

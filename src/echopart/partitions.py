@@ -99,18 +99,16 @@ def count(n: int, constraint: Constraint) -> int:
     return count_upto(n, constraint)[n]
 
 
-def enumerate_partitions(
-    n: int, constraint: Constraint, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[Partition]:
+def enumerate_partitions(n: int, constraint: Constraint) -> list[Partition]:
     """All constrained partitions of n, in lexicographically decreasing order.
 
     The ordering is part of the contract (stable golden output).  Refuses
-    n beyond the cap, which exists only to bound output size.
+    n beyond DEFAULT_ENUMERATION_CAP, which exists only to bound output size.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     first_max = n if constraint.max_part is None else min(n, constraint.max_part)
     out: list[Partition] = []
     _descend(n, first_max, constraint, (), out)

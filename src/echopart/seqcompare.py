@@ -2,9 +2,10 @@
 
 A b-file is the OEIS per-sequence term listing: one "index value" pair per
 line, indices consecutive.  Reading accepts LF or CRLF, '#' comment lines,
-any run of spaces or tabs between the two numbers and around them; writing
-emits plain "index value\n" lines, so a read/write round trip is lossless
-modulo comment stripping and whitespace and newline normalization.
+any run of spaces or tabs between the two numbers and around them;
+read_bfile also drops a leading UTF-8 byte-order mark.  Writing emits plain
+"index value\n" lines, so a read/write round trip is lossless modulo
+comment stripping and whitespace and newline normalization.
 
 Published term lists for these families do not always state which n each
 term belongs to.  Comparisons therefore never assert the reference values
@@ -18,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .families import Family, direct_counts_upto
 
@@ -80,7 +81,7 @@ def parse_bfile(text: str) -> BFile:
 
 
 def read_bfile(path: str | Path) -> BFile:
-    return parse_bfile(Path(path).read_text(encoding="utf-8"))
+    return parse_bfile(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def render_bfile(bfile: BFile) -> str:
@@ -92,73 +93,35 @@ def write_bfile(bfile: BFile, path: str | Path) -> None:
     Path(path).write_text(render_bfile(bfile), encoding="utf-8", newline="")
 
 
-@dataclass(frozen=True)
-class TermRecord:
+class TermRecord(NamedTuple):
     """One reference term paired with a computed coefficient."""
 
     position: int  # 0-based position in the reference list
     n: int         # coefficient exponent assigned by the hypothesis
     reference: int
     computed: int
-
-    @property
-    def match(self) -> bool:
-        return self.reference == self.computed
+    match: bool
 
 
-@dataclass(frozen=True)
-class HypothesisResult:
+class HypothesisResult(NamedTuple):
     label: str
     description: str
+    verdict: str
     total_terms: int  # reference terms available before the coverage cut
+    covered: int      # len(records)
     records: tuple[TermRecord, ...]
 
-    @property
-    def covered(self) -> int:
-        return len(self.records)
-
-    @property
-    def verdict(self) -> str:
-        if not self.records:
-            return "no match"
-        flags = [r.match for r in self.records]
-        if all(flags):
-            return "full match"
-        if not any(flags):
-            return "no match"
-        first = next(r.position for r in self.records if not r.match)
-        return f"partial match (first divergence at term {first})"
-
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "description": self.description,
-            "verdict": self.verdict,
-            "total_terms": self.total_terms,
-            "covered": self.covered,
-            "records": [
-                {
-                    "position": r.position,
-                    "n": r.n,
-                    "reference": r.reference,
-                    "computed": r.computed,
-                    "match": r.match,
-                }
-                for r in self.records
-            ],
-        }
+        return {**self._asdict(), "records": [r._asdict() for r in self.records]}
 
 
-@dataclass(frozen=True)
-class SequenceComparison:
+class SequenceComparison(NamedTuple):
     name: str
     hypotheses: tuple[HypothesisResult, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "hypotheses": [h.to_json_dict() for h in self.hypotheses],
-        }
+        hypotheses = [h.to_json_dict() for h in self.hypotheses]
+        return {"name": self.name, "hypotheses": hypotheses}
 
 
 def _hypothesis(
@@ -173,11 +136,21 @@ def _hypothesis(
     A term whose n falls outside the computed order is left uncovered.
     """
     records = tuple(
-        TermRecord(position=i, n=n, reference=ref, computed=coefficients[n])
+        TermRecord(i, n, ref, coefficients[n], ref == coefficients[n])
         for i, n, ref in triples
         if 0 <= n < len(coefficients)
     )
-    return HypothesisResult(label, description, total_terms, records)
+    matches = [r.match for r in records]
+    if not any(matches):
+        verdict = "no match"
+    elif all(matches):
+        verdict = "full match"
+    else:
+        first = records[matches.index(False)].position
+        verdict = f"partial match (first divergence at term {first})"
+    return HypothesisResult(
+        label, description, verdict, total_terms, len(records), records
+    )
 
 
 def _h2_nonzero(
@@ -200,22 +173,18 @@ def compare_published(
     """
     first_nonzero = next((n for n, c in enumerate(coefficients) if c != 0), None)
     if first_nonzero is None:
-        h1 = HypothesisResult(
-            label="H1",
-            description="terms at successive even n: no nonzero coefficient "
-            "within the computed order, nothing to align",
-            total_terms=len(reference),
-            records=(),
+        description = (
+            "terms at successive even n: no nonzero coefficient "
+            "within the computed order, nothing to align"
         )
+        triples = ()
     else:
-        h1 = _hypothesis(
-            "H1",
+        description = (
             f"term i is the coefficient at n = {first_nonzero} + 2*i "
-            "(successive even n from the first nonzero coefficient)",
-            len(reference),
-            ((i, first_nonzero + 2 * i, ref) for i, ref in enumerate(reference)),
-            coefficients,
+            "(successive even n from the first nonzero coefficient)"
         )
+        triples = ((i, first_nonzero + 2 * i, ref) for i, ref in enumerate(reference))
+    h1 = _hypothesis("H1", description, len(reference), triples, coefficients)
     h2 = _h2_nonzero(
         reference,
         coefficients,
@@ -253,8 +222,8 @@ def compare_bfile(
 def remark_comparisons(order: int = 120) -> list[SequenceComparison]:
     """Compare the two published 25-term lists against computed coefficients.
 
-    Needs an order large enough for 25 terms under both hypotheses
-    (order >= 120 is comfortable).
+    Every term is covered under both hypotheses from order 56 on (the
+    least such order, which `echopart remark-check` computes).
     """
     pairs = (
         ("Sequence 1 (mod3)", PUBLISHED_MOD3_TERMS, Family.MOD3),

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from echopart import Family, direct_counts_upto, genfun_series
-from echopart import cli
+from echopart import cli, seqcompare
 from echopart import families as families_module
 from echopart.cli import main
 
@@ -341,6 +341,20 @@ def test_bfile_round_trip_through_cli(capsys, tmp_path):
     assert all(
         r["computed"] == expected[r["n"]] for r in h1["records"]
     )
+
+
+def test_bfile_with_byte_order_mark(capsys, tmp_path):
+    """Windows editors often start a file with a UTF-8 byte-order mark."""
+    original = FIXTURES / "b000065.txt"
+    path = tmp_path / original.name
+    path.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    assert seqcompare.read_bfile(path) == seqcompare.read_bfile(original)
+    expected = run(capsys, "bfile-compare", str(original), "plain", "--order", "60")
+    assert expected[0] == 0
+    assert run(capsys, "bfile-compare", str(path), "plain", "--order", "60") == expected
+    term_first = tmp_path / "terms.txt"
+    term_first.write_bytes(b"\xef\xbb\xbf0 0\n1 0\n2 1\n")
+    assert seqcompare.read_bfile(term_first) == seqcompare.BFile(0, (0, 0, 1))
 
 
 @pytest.mark.parametrize(

@@ -141,7 +141,7 @@ def test_list_partitions_validation():
     with pytest.raises(ValueError):
         list_partitions(Family.PLAIN, -2)
     with pytest.raises(ValueError):
-        list_partitions(Family.PLAIN, 50, cap=40)
+        list_partitions(Family.PLAIN, 122)
 
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)

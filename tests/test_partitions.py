@@ -150,10 +150,9 @@ def test_enumeration_cap():
     with pytest.raises(ValueError):
         enumerate_partitions(DEFAULT_ENUMERATION_CAP + 1, DISTINCT)
     with pytest.raises(ValueError):
-        enumerate_partitions(11, UNRESTRICTED, cap=10)
-    with pytest.raises(ValueError):
         enumerate_partitions(-1, UNRESTRICTED)
-    assert enumerate_partitions(11, DISTINCT, cap=11)
+    at_cap = enumerate_partitions(DEFAULT_ENUMERATION_CAP, Constraint(max_part=2))
+    assert len(at_cap) == DEFAULT_ENUMERATION_CAP // 2 + 1 == 61
 
 
 def test_euler_identity():

@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echopart import (
@@ -196,3 +196,67 @@ def test_remark_verdicts_report_divergence_as_finding():
     assert seq1.hypotheses[1].verdict == "partial match (first divergence at term 2)"
     assert seq2.hypotheses[0].verdict == "partial match (first divergence at term 4)"
     assert seq2.hypotheses[1].verdict == "partial match (first divergence at term 4)"
+
+
+def _check_hypothesis(hyp, terms, coefficients):
+    """``terms`` are the (position, n, reference) triples the hypothesis assigns."""
+    covered = [(i, n, ref) for i, n, ref in terms if 0 <= n < len(coefficients)]
+    assert hyp.covered == len(covered)
+    assert list(hyp.records) == [
+        (i, n, ref, coefficients[n], ref == coefficients[n]) for i, n, ref in covered
+    ]
+    for record in hyp.records:
+        assert record.match == (record.reference == record.computed)
+    misses = [r.position for r in hyp.records if not r.match]
+    if len(misses) == len(hyp.records):
+        assert hyp.verdict == "no match"
+    elif not misses:
+        assert hyp.verdict == "full match"
+    else:
+        assert hyp.verdict == f"partial match (first divergence at term {misses[0]})"
+    payload = hyp.to_json_dict()
+    assert list(payload) == [
+        "label", "description", "verdict", "total_terms", "covered", "records"
+    ]
+    for record in payload["records"]:
+        assert list(record) == ["position", "n", "reference", "computed", "match"]
+    assert json.loads(json.dumps(payload)) == payload
+
+
+def _nonzero_terms(reference, coefficients):
+    nonzero = [n for n, c in enumerate(coefficients) if c != 0]
+    return [(i, n, ref) for i, (ref, n) in enumerate(zip(reference, nonzero))]
+
+
+small_ints = st.integers(min_value=0, max_value=3)
+coefficient_lists = st.lists(small_ints, min_size=1, max_size=40)
+
+
+@given(
+    offset=st.integers(min_value=-5, max_value=50),
+    values=st.lists(small_ints, min_size=1, max_size=30),
+    coefficients=coefficient_lists,
+)
+# the two dropped terms shift positions: the divergence is term 4, record 2
+@example(offset=-2, values=[9, 9, 0, 0, 7], coefficients=[0, 0, 0, 0, 1])
+@settings(max_examples=150)
+def test_compare_bfile_records_property(offset, values, coefficients):
+    comparison = compare_bfile("b", BFile(offset, tuple(values)), coefficients)
+    assert list(comparison.to_json_dict()) == ["name", "hypotheses"]
+    h1, h2 = comparison.hypotheses
+    assert h1.total_terms == h2.total_terms == len(values)
+    h1_terms = [(i, 2 * (offset + i), v) for i, v in enumerate(values)]
+    _check_hypothesis(h1, h1_terms, coefficients)
+    _check_hypothesis(h2, _nonzero_terms(values, coefficients), coefficients)
+
+
+@given(reference=st.lists(small_ints, max_size=30), coefficients=coefficient_lists)
+@settings(max_examples=150)
+def test_compare_published_records_property(reference, coefficients):
+    h1, h2 = compare_published("toy", reference, coefficients).hypotheses
+    first = next((n for n, c in enumerate(coefficients) if c != 0), None)
+    h1_terms = [] if first is None else [
+        (i, first + 2 * i, ref) for i, ref in enumerate(reference)
+    ]
+    _check_hypothesis(h1, h1_terms, coefficients)
+    _check_hypothesis(h2, _nonzero_terms(reference, coefficients), coefficients)
