@@ -10,12 +10,10 @@ from .families import (
     CoefficientRecord,
     Family,
     VerificationReport,
-    constraint_for,
     direct_count,
     direct_counts_upto,
     genfun_series,
     list_partitions,
-    singleton_allowed,
     verify,
 )
 from .partitions import (
@@ -84,7 +82,6 @@ __all__ = [
     "VerificationReport",
     "compare_bfile",
     "compare_published",
-    "constraint_for",
     "count",
     "count_upto",
     "direct_count",
@@ -101,7 +98,6 @@ __all__ = [
     "read_bfile",
     "remark_comparisons",
     "render_bfile",
-    "singleton_allowed",
     "verify",
     "write_bfile",
     "zero",

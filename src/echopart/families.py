@@ -90,21 +90,6 @@ RECIPES: Mapping[Family, str] = {
 }
 
 
-def constraint_for(family: Family) -> Constraint:
-    return CONSTRAINTS[family]
-
-
-def singleton_allowed(family: Family, largest: int) -> bool:
-    """Whether the one-part partition {largest} satisfies the family's constraint.
-
-    Distinctness never disqualifies a single part, so this reduces to the
-    residue test: always true for plain/distinct, odd largest for the odd
-    families, largest not divisible by 3 for mod3, largest = +-1 (mod 6)
-    for mod6.
-    """
-    return constraint_for(family).allows(largest)
-
-
 def direct_count(family: Family, n: int) -> int:
     """Count the family's partitions of n by the combinatorial definition.
 
@@ -121,10 +106,14 @@ def direct_counts_upto(family: Family, limit: int) -> list[int]:
     """direct_count(family, n) for n = 0..limit via a single DP pass."""
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
-    constraint = constraint_for(family)
+    constraint = CONSTRAINTS[family]
     table = partitions.count_upto(limit // 2, constraint)
     out = [0] * (limit + 1)
     for largest in range(1, limit // 2 + 1):
+        # {largest} alone would repeat the largest part, so drop it where it
+        # qualifies.  One part is always distinct, so only the residue rule
+        # decides: always for plain/distinct, odd largest for the odd
+        # families, largest not divisible by 3 for mod3, +-1 (mod 6) for mod6.
         out[2 * largest] = table[largest] - (1 if constraint.allows(largest) else 0)
     return out
 
@@ -150,7 +139,7 @@ def list_partitions(family: Family, n: int) -> list[Partition]:
     if n == 0:
         return []
     largest = n // 2
-    rest = partitions.enumerate_partitions(largest, constraint_for(family))
+    rest = partitions.enumerate_partitions(largest, CONSTRAINTS[family])
     return [(largest,) + p for p in rest if p != (largest,)]
 
 

@@ -140,10 +140,11 @@ def geometric(spec: GeometricSpec, order: int) -> TruncatedSeries:
 
 # The grammar of evaluate(); re compiles and caches it on the first call,
 # so importing the module costs nothing.
-_SYMBOL = r"\(([^;()]+);(q(?:\^\d+)?)\)"
+_POWER = r"q(?:\^\d+)?"
+_SYMBOL = rf"\(((?:-?{_POWER},)*-?{_POWER});({_POWER})\)"
 _TERM = (
     r"([+-]?)(?:(\d+)(?![\d/])"                  # integer constant
-    r"|(1|q(?:\^\d+)?)/\(1-(q(?:\^\d+)?)\)"      # comb q^k/(1-q^d)
+    rf"|(1|{_POWER})/\(1-({_POWER})\)"           # comb q^k/(1-q^d)
     rf"|1/{_SYMBOL}|{_SYMBOL}(?:/{_SYMBOL})?)"    # 1/(den), (num), (num)/(den)
 )
 
@@ -155,13 +156,11 @@ def _exponent(power: str) -> int:
 
 def _symbol(factors: str, step: str, order: int) -> TruncatedSeries:
     """Expand the symbol (factors;step), e.g. factors '-q^2,-q^4' and step 'q^6'."""
-    spec = []
-    for factor in factors.split(","):
-        if re.fullmatch(r"-?q(?:\^\d+)?", factor) is None:
-            raise ValueError(f"bad factor {factor!r} in a Pochhammer symbol")
-        sign = -1 if factor[0] == "-" else 1
-        spec.append((sign, _exponent(factor.lstrip("-")), _exponent(step)))
-    return pochhammer(PochhammerSpec(tuple(spec)), order)
+    spec = tuple(
+        (-1 if f[0] == "-" else 1, _exponent(f.lstrip("-")), _exponent(step))
+        for f in factors.split(",")
+    )
+    return pochhammer(PochhammerSpec(spec), order)
 
 
 def evaluate(text: str, order: int) -> TruncatedSeries:
@@ -193,10 +192,8 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
         pos = m.end()
         sign, constant, k, d, recip, recip_step, num, num_step, den, den_step = m.groups()
         if constant is not None:
-            c = -int(constant) if sign == "-" else int(constant)
-            result = monomial(c, 0, order) if result is None else result + c
-            continue
-        if k is not None:
+            value = monomial(int(constant), 0, order)
+        elif k is not None:
             value = geometric(GeometricSpec(_exponent(k), _exponent(d)), order)
         elif recip is not None:
             value = _symbol(recip, recip_step, order).invert()

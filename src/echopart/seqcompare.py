@@ -75,8 +75,6 @@ def parse_bfile(text: str) -> BFile:
             )
         expected = index + 1
         values.append(value)
-    if offset is None:
-        raise ValueError("b-file contains no terms")
     return BFile(offset=offset, values=tuple(values))
 
 

@@ -6,9 +6,11 @@ import pytest
 from echopart import Family, direct_counts_upto, genfun_series
 from echopart import cli, seqcompare
 from echopart import families as families_module
+from echopart import partitions as partitions_module
 from echopart.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = json.loads((FIXTURES / "cli_golden.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -75,6 +77,14 @@ def test_expand_rejects_garbage(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot parse")
+
+
+@pytest.mark.parametrize("text", ["(-1;q)", "(q,,q^2;q)", "(2q;q)", "(q^;q)"])
+def test_expand_rejects_a_bad_factor(capsys, text):
+    code, out, err = run(capsys, "expand", text, "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot parse {text!r} at {text!r}")
 
 
 def test_expand_rejects_negative_order(capsys):
@@ -221,6 +231,15 @@ def test_table_8(capsys):
     assert "A111133" in row("distinct")
     assert "A357456" in row("odd ") or "A357456" in row("odd  ")
     assert "A357457" in row("odd-distinct")
+
+
+def test_table_counts_by_enumeration_alone(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("table ran the partition DP")
+
+    monkeypatch.setattr(partitions_module, "count_upto", forbidden)
+    golden = next(case for case in GOLDEN if case["argv"] == ["table", "8"])
+    assert run(capsys, "table", "8") == (0, golden["stdout"], "")
 
 
 def test_table_2_has_no_witnesses(capsys):

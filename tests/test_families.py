@@ -16,18 +16,17 @@ import bruteforce
 from echopart import (
     CoefficientRecord,
     Family,
-    constraint_for,
     direct_count,
     direct_counts_upto,
     evaluate,
     genfun_series,
     list_partitions,
-    singleton_allowed,
     verify,
 )
 from echopart import families as families_module
 from echopart import partitions as partitions_module
 from echopart import qproducts
+from echopart.families import CONSTRAINTS
 
 # values at n = 0, 2, 4, ..., 30; odd n are all zero
 EXPECTED_EVEN = {
@@ -92,13 +91,14 @@ def test_genfun_agrees_with_direct(family):
 
 
 def test_singleton_rule():
+    # whether the one-part partition {largest} qualifies is the residue rule
     for largest in range(1, 40):
-        assert singleton_allowed(Family.PLAIN, largest)
-        assert singleton_allowed(Family.DISTINCT, largest)
-        assert singleton_allowed(Family.ODD, largest) == (largest % 2 == 1)
-        assert singleton_allowed(Family.ODD_DISTINCT, largest) == (largest % 2 == 1)
-        assert singleton_allowed(Family.MOD3, largest) == (largest % 3 != 0)
-        assert singleton_allowed(Family.MOD6, largest) == (largest % 6 in (1, 5))
+        assert CONSTRAINTS[Family.PLAIN].allows(largest)
+        assert CONSTRAINTS[Family.DISTINCT].allows(largest)
+        assert CONSTRAINTS[Family.ODD].allows(largest) == (largest % 2 == 1)
+        assert CONSTRAINTS[Family.ODD_DISTINCT].allows(largest) == (largest % 2 == 1)
+        assert CONSTRAINTS[Family.MOD3].allows(largest) == (largest % 3 != 0)
+        assert CONSTRAINTS[Family.MOD6].allows(largest) == (largest % 6 in (1, 5))
 
 
 def test_cross_relation_mod3_mod6():
@@ -146,7 +146,7 @@ def test_list_partitions_validation():
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
 def test_list_partitions_consistency(family):
-    constraint = constraint_for(family)
+    constraint = CONSTRAINTS[family]
     for n in range(0, 41, 2):
         witnesses = list_partitions(family, n)
         assert len(witnesses) == direct_count(family, n)

@@ -331,6 +331,17 @@ def test_evaluate_rejects_near_misses(text):
         evaluate(text, 10)
 
 
+@pytest.mark.parametrize(
+    "text, remainder",
+    [("(-1;q)", "(-1;q)"), ("(q,,q^2;q)", "(q,,q^2;q)"), ("(2q;q)", "(2q;q)"),
+     ("(q^;q)", "(q^;q)"), ("(q;q) - (2q;q)", "-(2q;q)")],
+)
+def test_evaluate_names_the_unparsed_remainder_of_a_bad_factor(text, remainder):
+    with pytest.raises(ValueError) as excinfo:
+        evaluate(text, 10)
+    assert str(excinfo.value).startswith(f"cannot parse {text!r} at {remainder!r}")
+
+
 NEAR_GRAMMAR = st.text(alphabet="q^0129()/;,-+ ", max_size=30)
 
 

@@ -60,9 +60,10 @@ def test_parse_rejects_non_contiguous_indices():
 
 
 def test_parse_rejects_empty_input():
-    with pytest.raises(ValueError):
-        parse_bfile("# only a comment\n")
-    with pytest.raises(ValueError):
+    for text in ("# only a comment\n", ""):
+        with pytest.raises(ValueError, match="^a b-file needs at least one term$"):
+            parse_bfile(text)
+    with pytest.raises(ValueError, match="^a b-file needs at least one term$"):
         BFile(offset=0, values=())
 
 
