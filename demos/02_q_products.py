@@ -7,7 +7,7 @@ building blocks: infinite products over arithmetic progressions of
 exponents, and single geometric series q^a/(1-q^d).
 """
 
-from echopart import GeometricSpec, PochhammerSpec, geometric, pochhammer
+from echopart import GeometricSpec, PochhammerSpec, evaluate, geometric, pochhammer
 
 N = 16
 
@@ -34,6 +34,10 @@ print("(-q;q)_inf    =", pochhammer(distinct, N))
 # Several factors interleave progressions, here exponents 2, 4, 8, 10, ...
 two_track = PochhammerSpec(((-1, 2, 6), (-1, 4, 6)))
 print("(-q^2,-q^4;q^6)_inf =", pochhammer(two_track, N))
+
+# A dense reciprocal: evaluate divides 1 by each binomial (1 + q^e) in turn
+# instead of expanding the product and inverting it.
+print("1/(-q,-q^2;q)_inf =", evaluate("1/(-q,-q^2;q)", N))
 
 # Jacobi's triple product: (z, q^m/z, q^m; q^m) = sum over all integers k of
 # (-z)^k q^(m*k*(k-1)/2).  With z = -q, m = 2 this is theta_3(q), the sum of

@@ -14,10 +14,15 @@ Two product shapes are theta series, with O(sqrt(N)) nonzero coefficients
 that :func:`pochhammer` writes down directly instead of multiplying out:
 Euler's (q^m;q^m) (pentagonal number theorem) and the three-factor
 (s*q^a, s*q^(m-a), q^m; q^m) with s = +-1 (Jacobi triple product).
+Any other product is multiplied out binomial by binomial, each binomial one
+C-level pass over the N+1 coefficients: O(N) per binomial, O(N^2) in all.
 
 :func:`evaluate` reads the paper's notation, signed sums such as
 ``(q^4;q^4)/(q^2;q^2) - q^2/(1-q^4) - 1``, and expands them with these
-builders; the family recipes and ``echopart expand`` share it.
+builders; the family recipes and ``echopart expand`` share it.  It divides
+by a dense denominator, never expands it and then inverts: each binomial is
+divided out of the numerator (or 1) in O(N) C-level steps, where inverting
+the dense expansion would add O(N^2) steps in Python.
 
 Infinite products with |q| < 1 make sense here only as formal series; no
 floating point is involved anywhere.
@@ -27,6 +32,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, sub
 from typing import NamedTuple
 
 from .series import TruncatedSeries, monomial
@@ -96,7 +103,7 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
     A factor whose lowest exponent already exceeds the order contributes
     nothing and is skipped; an empty factor list gives the constant 1.
     The theta shapes (see the module docstring) cost O(sqrt(order)) after
-    the allocation; every other product costs O(order) per binomial.
+    the allocation; every other product costs one O(order) slice pass per binomial.
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
@@ -116,16 +123,25 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
         return TruncatedSeries(tuple(coeffs))
     coeffs[0] = 1
     for sign, offset, step in spec.factors:
-        e = offset
-        while e <= order:
-            # multiply in place by (1 - sign*q^e); descending k keeps the
-            # untouched low coefficients available as the pre-update values
-            for k in range(order, e - 1, -1):
-                c = coeffs[k - e]
-                if c != 0:
-                    coeffs[k] -= sign * c
-            e += step
+        for e in range(offset, order + 1, step):
+            # times (1 - sign*q^e); the slices on the right are pre-update copies
+            coeffs[e:] = map(sub if sign == 1 else add, coeffs[e:], coeffs[: order + 1 - e])
     return TruncatedSeries(tuple(coeffs))
+
+
+def _divide(coeffs: list[int], sign: int, e: int) -> None:
+    """Divide coeffs in place by (1 - sign*q^e): c[k] += sign*c[k-e], k ascending."""
+    n = len(coeffs) - 1
+    if e * e > n:  # n/e blocks of e, each updated from the divided block below
+        op = add if sign == 1 else sub
+        for k in range(e, n + 1, e):
+            coeffs[k : k + e] = map(op, coeffs[k : k + e], coeffs[k - e : k])
+    elif sign == 1:  # e residue classes, each a running sum
+        for r in range(e):
+            coeffs[r::e] = accumulate(coeffs[r::e])
+    else:  # 1/(1 + q^e) = (1 - q^e) / (1 - q^(2e))
+        coeffs[e:] = map(sub, coeffs[e:], coeffs[: n + 1 - e])
+        _divide(coeffs, 1, 2 * e)
 
 
 def geometric(spec: GeometricSpec, order: int) -> TruncatedSeries:
@@ -154,13 +170,25 @@ def _exponent(power: str) -> int:
     return 0 if power == "1" else int(power[2:] or 1)
 
 
-def _symbol(factors: str, step: str, order: int) -> TruncatedSeries:
-    """Expand the symbol (factors;step), e.g. factors '-q^2,-q^4' and step 'q^6'."""
-    spec = tuple(
+def _spec(factors: str, step: str) -> PochhammerSpec:
+    """The symbol (factors;step), e.g. factors '-q^2,-q^4' and step 'q^6'."""
+    return PochhammerSpec(tuple(
         (-1 if f[0] == "-" else 1, _exponent(f.lstrip("-")), _exponent(step))
         for f in factors.split(",")
-    )
-    return pochhammer(PochhammerSpec(spec), order)
+    ))
+
+
+def _quotient(num: PochhammerSpec | None, den: PochhammerSpec, order: int) -> TruncatedSeries:
+    """num/den (1/den if num is None): a theta den is expanded and inverted
+    before num is expanded; any other den is divided out binomial by binomial."""
+    if _theta_shape(den.factors) is not None:
+        inverse = pochhammer(den, order).invert()
+        return inverse if num is None else inverse * pochhammer(num, order)
+    coeffs = [1] + [0] * order if num is None else list(pochhammer(num, order).coeffs)
+    for sign, offset, step in den.factors:
+        for e in range(offset, order + 1, step):
+            _divide(coeffs, sign, e)
+    return TruncatedSeries(tuple(coeffs))
 
 
 def evaluate(text: str, order: int) -> TruncatedSeries:
@@ -171,8 +199,10 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
       q^2/(1-q^4)          a comb; 1/(1-q^4) is q^0/(1-q^4)
       (-q^2,-q^4;q^6)      a Pochhammer symbol; '-' makes a factor (1 + ...)
       1/(q^2;q^2)          its reciprocal
-      (q^4;q^4)/(q^2;q^2)  a quotient: the denominator is expanded and
-                           inverted first, then multiplied by the numerator
+      (q^4;q^4)/(q^2;q^2)  a quotient: a theta denominator is expanded and
+                           inverted first, O(sqrt(order)) per coefficient; any
+                           other is divided out, never expanded, in O(order)
+                           C-level steps per binomial
     The first term starts the sum and may carry a sign; every later term
     is added or subtracted according to its sign.
     """
@@ -196,11 +226,11 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
         elif k is not None:
             value = geometric(GeometricSpec(_exponent(k), _exponent(d)), order)
         elif recip is not None:
-            value = _symbol(recip, recip_step, order).invert()
+            value = _quotient(None, _spec(recip, recip_step), order)
         elif den is None:
-            value = _symbol(num, num_step, order)
+            value = pochhammer(_spec(num, num_step), order)
         else:
-            value = _symbol(den, den_step, order).invert() * _symbol(num, num_step, order)
+            value = _quotient(_spec(num, num_step), _spec(den, den_step), order)
         if result is None:
             result = -value if sign == "-" else value
         else:

@@ -90,11 +90,30 @@ def poly_mul(a: list[int], b: list[int], order: int) -> list[int]:
     return out
 
 
+def binomial_loop(factors, order: int) -> list[int]:
+    """The same product as product_coeffs, multiplied in place one binomial
+    at a time with a per-coefficient loop: O(order) Python steps per binomial.
+
+    The reference for qproducts' slice-pass expansion of dense products and,
+    followed by invert(), for its binomial-by-binomial division.
+    """
+    coeffs = [1] + [0] * order
+    for sign, offset, step in factors:
+        for e in range(offset, order + 1, step):
+            # descending k keeps the low coefficients at their pre-update values
+            for k in range(order, e - 1, -1):
+                c = coeffs[k - e]
+                if c != 0:
+                    coeffs[k] -= sign * c
+    return coeffs
+
+
 def product_coeffs(factors, order: int, inverted: bool = False) -> list[int]:
     """Expand prod over (sign, offset, step) of (1 - sign*q^e) for e in the
     progression offset, offset+step, ... up to order.  With inverted=True
-    each binomial is replaced by its geometric-series inverse, which only
-    makes sense for sign=+1 factors."""
+    each binomial is replaced by its geometric-series inverse
+    sum over k of sign^k q^(k*e): 1/(1 - q^e) for sign +1 and 1/(1 + q^e)
+    for sign -1, so the result is the reciprocal of the product."""
     acc = [1] + [0] * order
     for sign, offset, step in factors:
         for e in range(offset, order + 1, step):

@@ -7,6 +7,7 @@ from echopart import (
     DISTINCT,
     GeometricSpec,
     PochhammerSpec,
+    TruncatedSeries,
     UNRESTRICTED,
     count_upto,
     evaluate,
@@ -87,13 +88,19 @@ def test_geometric_matches_series_division(numerator, period, order):
 
 FACTOR = st.tuples(
     st.sampled_from((1, -1)),
-    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=16),  # often above the step
     st.integers(min_value=1, max_value=8),
 )
 
 
+def _up_to_three(draw, part):
+    """One to three parts drawn from the strategy part, sometimes repeated."""
+    parts = draw(st.lists(part, min_size=1, max_size=3))
+    return parts + draw(st.lists(st.sampled_from(parts), max_size=3 - len(parts)))
+
+
 @given(
-    factors=st.lists(FACTOR, min_size=1, max_size=3),
+    factors=st.composite(_up_to_three)(FACTOR),
     order=st.integers(min_value=0, max_value=40),
 )
 @settings(max_examples=60)
@@ -123,21 +130,6 @@ def test_factor_normalization():
 # -- theta shapes: Euler's (q^m;q^m) and the triple (s*q^a, s*q^(m-a), q^m; q^m)
 
 
-def _binomial_loop(factors, order):
-    """The same product through the general binomial loop.
-
-    (q^m;q^m) = (q^m, q^(2m); q^(2m)) splits every (1, m, m) factor in two,
-    which no theta shape matches.
-    """
-    split = []
-    for sign, offset, step in factors:
-        if (sign, offset) == (1, step):
-            split += [(1, step, 2 * step), (1, 2 * step, 2 * step)]
-        else:
-            split.append((sign, offset, step))
-    return pochhammer(PochhammerSpec(tuple(split)), order)
-
-
 @st.composite
 def triple_factors(draw):
     m = draw(st.integers(min_value=2, max_value=12))
@@ -155,7 +147,7 @@ ORDERS = st.integers(min_value=0, max_value=80)
 def test_theta_shapes_match_naive_expansion(factors, order):
     series = pochhammer(PochhammerSpec(tuple(factors)), order)
     assert list(series.coeffs) == bruteforce.product_coeffs(factors, order)
-    assert series == _binomial_loop(factors, order)
+    assert list(series.coeffs) == bruteforce.binomial_loop(factors, order)
 
 
 THETA_SPECS = [
@@ -179,7 +171,7 @@ def test_theta_shapes_at_edge_orders(factors):
     """Orders 0, 1, 2 and orders landing exactly on a nonzero term."""
     for order in sorted({0, 1, 2, *_theta_exponents(factors, 60)}):
         series = pochhammer(PochhammerSpec(factors), order)
-        assert series == _binomial_loop(factors, order), order
+        assert list(series.coeffs) == bruteforce.binomial_loop(factors, order), order
         assert list(series.coeffs) == bruteforce.product_coeffs(factors, order), order
 
 
@@ -211,14 +203,11 @@ def _q(e, draw):
 
 @st.composite
 def symbols(draw):
-    """(text, factors) of a Pochhammer symbol, steps 1-6, up to three factors."""
+    """(text, factors) of a Pochhammer symbol: steps 1-6, offsets 1-16, up to
+    three factors, some repeated."""
     step = draw(st.integers(min_value=1, max_value=6))
-    parts = draw(
-        st.lists(
-            st.tuples(st.sampled_from((1, -1)), st.integers(min_value=1, max_value=8)),
-            min_size=1,
-            max_size=3,
-        )
+    parts = _up_to_three(
+        draw, st.tuples(st.sampled_from((1, -1)), st.integers(min_value=1, max_value=16))
     )
     body = ",".join(("-" if sign < 0 else "") + _q(e, draw) for sign, e in parts)
     return f"({body};{_q(step, draw)})", [(sign, offset, step) for sign, offset in parts]
@@ -318,6 +307,64 @@ def test_evaluate_calls_the_builders_denominator_first(monkeypatch):
         ("pochhammer", PochhammerSpec(((1, 4, 4),))),
         ("geometric", GeometricSpec(2, 4)),
     ]
+
+
+@given(num=symbols(), den=symbols(), order=st.integers(min_value=0, max_value=300))
+@settings(max_examples=100, deadline=None)
+def test_dense_products_and_divisions_match_the_binomial_loop(num, den, order):
+    """Slice-pass products and binomial-by-binomial division against the
+    reference loop (then invert()).  At order 300 the division by (1 -+ q^e)
+    runs sums for e <= 17 and blocks of e above, and most exponents leave a
+    partial last block."""
+    (num_text, num_factors), (den_text, den_factors) = num, den
+    product = bruteforce.binomial_loop(num_factors, order)
+    inverse = TruncatedSeries(tuple(bruteforce.binomial_loop(den_factors, order))).invert()
+    assert list(pochhammer(PochhammerSpec(tuple(num_factors)), order).coeffs) == product
+    assert list(evaluate(num_text, order).coeffs) == product
+    assert evaluate("1/" + den_text, order) == inverse
+    assert evaluate(f"{num_text}/{den_text}", order) == inverse * TruncatedSeries(tuple(product))
+
+
+@pytest.mark.parametrize(
+    "text, expanded",
+    [
+        ("1/(-q;q)", []),
+        ("1/(q;q^2)", []),
+        ("1/(-q,-q^3;q^2)", []),
+        ("1/(q,q;q)", []),
+        ("(q;q)/(-q^2;q)", [((1, 1, 1),)]),
+        ("(-q;q^3)/(q,q^2;q^4)", [((-1, 1, 3),)]),
+    ],
+)
+def test_dense_denominators_are_divided_never_expanded_or_inverted(monkeypatch, text, expanded):
+    specs = []
+    original = qproducts.pochhammer
+
+    def recording(spec, order):
+        specs.append(spec.factors)
+        return original(spec, order)
+
+    def refuse(self):
+        raise AssertionError("a dense denominator reached invert()")
+
+    monkeypatch.setattr(qproducts, "pochhammer", recording)
+    monkeypatch.setattr(TruncatedSeries, "invert", refuse)
+    evaluate(text, 60)
+    assert specs == expanded
+
+
+def test_theta_reciprocals_still_invert_once(monkeypatch):
+    calls = []
+    original = TruncatedSeries.invert
+
+    def counting(self):
+        calls.append(self.order)
+        return original(self)
+
+    monkeypatch.setattr(TruncatedSeries, "invert", counting)
+    for s in range(1, 7):
+        evaluate(f"1/(q^{s};q^{s})", 60)
+    assert calls == [60] * 6
 
 
 @pytest.mark.parametrize(
