@@ -122,41 +122,38 @@ class SequenceComparison(NamedTuple):
         return {"name": self.name, "hypotheses": hypotheses}
 
 
-def _hypothesis(
-    label: str,
-    description: str,
-    total_terms: int,
-    triples: Iterable[tuple[int, int, int]],
-    coefficients: Sequence[int],
-) -> HypothesisResult:
-    """Pair each (position, n, reference) with the coefficient at n.
+def _aligned(
+    name: str, values: Sequence[int], rows: Iterable[tuple]
+) -> SequenceComparison:
+    """One hypothesis per row (label, description, coefficients, n_of).
 
-    A term whose n falls outside the computed order is left uncovered.
+    Term i of ``values`` is paired with ``coefficients[n_of(i)]``; a term
+    whose n is None or falls outside the computed order is left uncovered
+    rather than counted as a mismatch.
     """
-    records = tuple(
-        TermRecord(i, n, ref, coefficients[n], ref == coefficients[n])
-        for i, n, ref in triples
-        if 0 <= n < len(coefficients)
-    )
-    matches = [r.match for r in records]
-    if not any(matches):
-        verdict = "no match"
-    elif all(matches):
-        verdict = "full match"
-    else:
-        first = records[matches.index(False)].position
-        verdict = f"partial match (first divergence at term {first})"
-    return HypothesisResult(
-        label, description, verdict, total_terms, len(records), records
-    )
+    hypotheses = []
+    for label, description, coefficients, n_of in rows:
+        records = tuple(
+            TermRecord(i, n, ref, coefficients[n], ref == coefficients[n])
+            for i, ref in enumerate(values)
+            if (n := n_of(i)) is not None and 0 <= n < len(coefficients)
+        )
+        misses = [r.position for r in records if not r.match]
+        if len(misses) == len(records):
+            verdict = "no match"
+        elif not misses:
+            verdict = "full match"
+        else:
+            verdict = f"partial match (first divergence at term {misses[0]})"
+        hypotheses.append(HypothesisResult(
+            label, description, verdict, len(values), len(records), records
+        ))
+    return SequenceComparison(name, tuple(hypotheses))
 
 
-def _h2_nonzero(
-    reference: Sequence[int], coefficients: Sequence[int], description: str
-) -> HypothesisResult:
-    nonzero = [n for n, c in enumerate(coefficients) if c != 0]
-    triples = ((i, n, ref) for i, (ref, n) in enumerate(zip(reference, nonzero)))
-    return _hypothesis("H2", description, len(reference), triples, coefficients)
+def _nth_nonzero(coefficients: Sequence[int]):
+    """n_of pairing term i with the i-th nonzero coefficient."""
+    return dict(enumerate(n for n, c in enumerate(coefficients) if c != 0)).get
 
 
 def compare_published(
@@ -166,29 +163,21 @@ def compare_published(
 
     H1 anchors the list at the first nonzero computed coefficient and walks
     successive even n; H2 pairs the list with the nonzero coefficients in
-    increasing n order.  Terms beyond the computed order are left uncovered
-    rather than counted as mismatches.
+    increasing n order.
     """
-    first_nonzero = next((n for n, c in enumerate(coefficients) if c != 0), None)
-    if first_nonzero is None:
-        description = (
-            "terms at successive even n: no nonzero coefficient "
-            "within the computed order, nothing to align"
-        )
-        triples = ()
-    else:
-        description = (
-            f"term i is the coefficient at n = {first_nonzero} + 2*i "
-            "(successive even n from the first nonzero coefficient)"
-        )
-        triples = ((i, first_nonzero + 2 * i, ref) for i, ref in enumerate(reference))
-    h1 = _hypothesis("H1", description, len(reference), triples, coefficients)
-    h2 = _h2_nonzero(
-        reference,
-        coefficients,
-        "term i is the i-th nonzero coefficient in increasing n order",
+    first = next((n for n, c in enumerate(coefficients) if c != 0), None)
+    h1 = (
+        "terms at successive even n: no nonzero coefficient "
+        "within the computed order, nothing to align"
+        if first is None
+        else f"term i is the coefficient at n = {first} + 2*i "
+        "(successive even n from the first nonzero coefficient)"
     )
-    return SequenceComparison(name=name, hypotheses=(h1, h2))
+    return _aligned(name, reference, (
+        ("H1", h1, coefficients, lambda i: None if first is None else first + 2 * i),
+        ("H2", "term i is the i-th nonzero coefficient in increasing n order",
+         coefficients, _nth_nonzero(coefficients)),
+    ))
 
 
 def compare_bfile(
@@ -201,20 +190,12 @@ def compare_bfile(
     entries match the plain family).  H2 ignores the indices and pairs the
     values with the nonzero coefficients in increasing n order.
     """
-    h1 = _hypothesis(
-        "H1",
-        "b-file index i holds the coefficient at n = 2*i",
-        len(bfile.values),
-        ((i, 2 * index, value) for i, (index, value) in enumerate(bfile.terms())),
-        coefficients,
-    )
-    h2 = _h2_nonzero(
-        bfile.values,
-        coefficients,
-        "b-file values in index order are the nonzero coefficients "
-        "in increasing n order",
-    )
-    return SequenceComparison(name=name, hypotheses=(h1, h2))
+    return _aligned(name, bfile.values, (
+        ("H1", "b-file index i holds the coefficient at n = 2*i",
+         coefficients, lambda i: 2 * (bfile.offset + i)),
+        ("H2", "b-file values in index order are the nonzero coefficients "
+         "in increasing n order", coefficients, _nth_nonzero(coefficients)),
+    ))
 
 
 def remark_comparisons(order: int = 120) -> list[SequenceComparison]:
@@ -223,12 +204,10 @@ def remark_comparisons(order: int = 120) -> list[SequenceComparison]:
     Every term is covered under both hypotheses from order 56 on (the
     least such order, which `echopart remark-check` computes).
     """
-    pairs = (
-        ("Sequence 1 (mod3)", PUBLISHED_MOD3_TERMS, Family.MOD3),
-        ("Sequence 2 (mod6)", PUBLISHED_MOD6_TERMS, Family.MOD6),
-    )
-    out = []
-    for name, reference, family in pairs:
-        coefficients = direct_counts_upto(family, order)
-        out.append(compare_published(name, reference, coefficients))
-    return out
+    return [
+        compare_published(name, reference, direct_counts_upto(family, order))
+        for name, reference, family in (
+            ("Sequence 1 (mod3)", PUBLISHED_MOD3_TERMS, Family.MOD3),
+            ("Sequence 2 (mod6)", PUBLISHED_MOD6_TERMS, Family.MOD6),
+        )
+    ]
