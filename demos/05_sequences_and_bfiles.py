@@ -4,9 +4,11 @@ Published sequences and OEIS b-files
 
 Two published 25-term sequences are shipped with the library for the mod3
 and mod6 families.  Because their index convention is not recorded, the
-comparison tries two alignment hypotheses and reports a verdict for each;
-a divergence is a finding, not an error.  The same mechanism compares
-locally stored OEIS b-files against computed coefficients.
+comparison tries three alignment hypotheses and reports a verdict for each;
+a divergence is a finding, not an error.  H3 (the nonzero coefficients with
+n = 0 counted as 1) matches both lists in full.  The same mechanism
+compares locally stored OEIS b-files against computed coefficients, with
+one hypothesis per index convention that bfile-export writes.
 """
 
 import tempfile
@@ -36,7 +38,8 @@ for comparison in remark_comparisons(order=120):
     print()
 
 # b-files are the OEIS term-listing format: "index value" per line.
-bfile = BFile(offset=0, values=tuple(direct_counts_upto(Family.PLAIN, 24)[::2]))
+coefficients = direct_counts_upto(Family.PLAIN, 24)
+bfile = BFile(offset=0, values=tuple(coefficients[::2]))
 print("a b-file of the plain family's even coefficients:")
 print(render_bfile(bfile), end="")
 
@@ -45,6 +48,16 @@ with tempfile.TemporaryDirectory() as tmp:
     write_bfile(bfile, path)
     assert read_bfile(path) == bfile  # round trip is bit-exact
 
-comparison = compare_bfile("plain even terms", bfile, direct_counts_upto(Family.PLAIN, 24))
-for hypothesis in comparison.hypotheses:
-    print(f"{hypothesis.label}: {hypothesis.verdict}")
+# the three index conventions of `echopart bfile-export --mode`
+modes = {
+    "even": (BFile(0, tuple(coefficients[::2])), "H1"),
+    "nonzero": (BFile(1, tuple(c for c in coefficients if c)), "H2"),
+    "all": (BFile(0, tuple(coefficients)), "H3"),
+}
+for mode, (bfile, label) in modes.items():
+    comparison = compare_bfile(f"plain {mode}", bfile, coefficients)
+    print(comparison.name)
+    for hypothesis in comparison.hypotheses:
+        print(f"  {hypothesis.label}: {hypothesis.verdict}")
+    (matched,) = [h for h in comparison.hypotheses if h.label == label]
+    assert matched.verdict == "full match"  # every mode round-trips

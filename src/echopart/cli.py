@@ -298,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "remark-check",
-        help="compare the two published 25-term sequences under both "
-        "alignment hypotheses",
+        help="compare the two published 25-term sequences under each "
+        "alignment hypothesis",
     )
     p.add_argument(
         "order",
@@ -319,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("even", "all", "nonzero"),
         default="even",
         help="even: index i holds the coefficient at n=2i; all: index n; "
-        "nonzero: nonzero coefficients reindexed from 1 (bfile-compare "
-        "aligns only even and nonzero files)",
+        "nonzero: nonzero coefficients reindexed from 1",
     )
     _add_common_flags(p, ())
     p.set_defaults(func=cmd_bfile_export)

@@ -9,9 +9,10 @@ comment stripping and whitespace and newline normalization.
 
 Published term lists for these families do not always state which n each
 term belongs to.  Comparisons therefore never assert the reference values
-as ground truth: they test explicit alignment hypotheses (H1: terms sit at
-successive even n; H2: terms are the nonzero coefficients in order) and
-report a verdict per hypothesis.  A divergence is a finding, not an error.
+as ground truth: they test explicit alignment hypotheses, each a row that
+maps a term position to the n it is paired with, and report a verdict per
+hypothesis.  A divergence is a finding, not an error.  Both published
+lists match H3 in full: the nonzero coefficients with n = 0 counted as 1.
 """
 
 from __future__ import annotations
@@ -163,7 +164,8 @@ def compare_published(
 
     H1 anchors the list at the first nonzero computed coefficient and walks
     successive even n; H2 pairs the list with the nonzero coefficients in
-    increasing n order.
+    increasing n order; H3 does the same with n = 0 counted as 1, the
+    empty partition.
     """
     first = next((n for n, c in enumerate(coefficients) if c != 0), None)
     h1 = (
@@ -173,10 +175,13 @@ def compare_published(
         else f"term i is the coefficient at n = {first} + 2*i "
         "(successive even n from the first nonzero coefficient)"
     )
+    with_empty = [1, *coefficients[1:]]  # n = 0 counts the empty partition
     return _aligned(name, reference, (
         ("H1", h1, coefficients, lambda i: None if first is None else first + 2 * i),
         ("H2", "term i is the i-th nonzero coefficient in increasing n order",
          coefficients, _nth_nonzero(coefficients)),
+        ("H3", "term i is the i-th nonzero coefficient with n = 0 counted as 1",
+         with_empty, _nth_nonzero(with_empty)),
     ))
 
 
@@ -188,20 +193,24 @@ def compare_bfile(
     The file's own indices pin H1: index i holds the coefficient at n = 2*i
     (the convention under which "-1 + number of partitions"-style OEIS
     entries match the plain family).  H2 ignores the indices and pairs the
-    values with the nonzero coefficients in increasing n order.
+    values with the nonzero coefficients in increasing n order.  H3 reads
+    index i as n = i.  Each bfile-export mode matches one of them in full:
+    even H1, nonzero H2, all H3.
     """
     return _aligned(name, bfile.values, (
         ("H1", "b-file index i holds the coefficient at n = 2*i",
          coefficients, lambda i: 2 * (bfile.offset + i)),
         ("H2", "b-file values in index order are the nonzero coefficients "
          "in increasing n order", coefficients, _nth_nonzero(coefficients)),
+        ("H3", "b-file index i holds the coefficient at n = i",
+         coefficients, lambda i: bfile.offset + i),
     ))
 
 
 def remark_comparisons(order: int = 120) -> list[SequenceComparison]:
     """Compare the two published 25-term lists against computed coefficients.
 
-    Every term is covered under both hypotheses from order 56 on (the
+    Every term is covered under every hypothesis from order 56 on (the
     least such order, which `echopart remark-check` computes).
     """
     return [

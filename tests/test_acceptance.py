@@ -174,7 +174,7 @@ def test_criterion_06_remark_sequences_report():
                     complete = False
 
     verdicts = [h.verdict for c in first for h in c.hypotheses]
-    ok = deterministic and complete and len(verdicts) == 4
+    ok = deterministic and complete and len(verdicts) == 6
     assert _report(
         6, ok, f"deterministic report, verdicts: {verdicts}"
     ), (deterministic, complete, verdicts)

@@ -270,7 +270,7 @@ def test_remark_check_text(capsys):
     assert code == 0
     assert "Sequence 1 (mod3)" in out
     assert "Sequence 2 (mod6)" in out
-    assert out.count("verdict:") == 4
+    assert out.count("verdict:") == 6
     # every term row shows reference and computed side by side
     assert "reference  computed" in out
 
@@ -360,6 +360,20 @@ def test_bfile_round_trip_through_cli(capsys, tmp_path):
     assert all(
         r["computed"] == expected[r["n"]] for r in h1["records"]
     )
+
+
+@pytest.mark.parametrize("family", [f.value for f in Family])
+@pytest.mark.parametrize("mode, label", [("even", "H1"), ("nonzero", "H2"), ("all", "H3")])
+def test_every_export_mode_round_trips(capsys, tmp_path, family, mode, label):
+    """bfile-compare reads each bfile-export mode back under its own hypothesis."""
+    path = tmp_path / "b.txt"
+    run(capsys, "bfile-export", family, "--order", "60", "--mode", mode, "--output", str(path))
+    code, out, _ = run(capsys, "bfile-compare", str(path), family, "--order", "60",
+                       "--format", "json")
+    assert code == 0
+    hyp = next(h for h in json.loads(out)["hypotheses"] if h["label"] == label)
+    assert hyp["verdict"] == "full match"
+    assert hyp["covered"] == hyp["total_terms"] == len(path.read_text().splitlines())
 
 
 def test_bfile_with_byte_order_mark(capsys, tmp_path):

@@ -106,12 +106,15 @@ def test_compare_bfile_full_match():
     coeffs = direct_counts_upto(Family.PLAIN, 80)
     b = read_bfile(FIXTURES / "b000065.txt")
     comparison = compare_bfile("fixture", b, coeffs)
-    h1, h2 = comparison.hypotheses
+    h1, h2, h3 = comparison.hypotheses
     assert h1.label == "H1"
     assert h1.verdict == "full match"
     assert h1.covered == h1.total_terms == 41
     # the fixture lists zeros, so the nonzero pairing cannot line up
     assert h2.verdict != "full match"
+    # the fixture's index i is n = 2*i, not n = i
+    assert h3.label == "H3" and h3.covered == 41
+    assert h3.verdict == "partial match (first divergence at term 2)"
 
 
 def test_compare_bfile_skips_out_of_range():
@@ -136,27 +139,36 @@ def test_compare_published_alignments():
     # coefficients with first nonzero at n=4: H1 walks 4, 6, 8, ...
     coeffs = [0, 0, 0, 0, 1, 0, 2, 0, 3, 0, 4]
     comparison = compare_published("toy", (1, 2, 3, 4), coeffs)
-    h1, h2 = comparison.hypotheses
+    h1, h2, h3 = comparison.hypotheses
     assert [r.n for r in h1.records] == [4, 6, 8, 10]
     assert h1.verdict == "full match"
     assert [r.n for r in h2.records] == [4, 6, 8, 10]
     assert h2.verdict == "full match"
+    # H3 counts n = 0 as 1, so every term moves one nonzero coefficient up
+    assert [(r.n, r.computed) for r in h3.records] == [(0, 1), (4, 1), (6, 2), (8, 3)]
+    assert h3.verdict == "partial match (first divergence at term 1)"
 
 
 def test_compare_published_uncovered_terms():
     coeffs = [0, 0, 1]
     comparison = compare_published("toy", (1, 1, 1), coeffs)
-    h1, h2 = comparison.hypotheses
+    h1, h2, h3 = comparison.hypotheses
     assert h1.covered == 1 and h1.total_terms == 3
     assert h2.covered == 1
     assert h1.verdict == "full match"
+    assert [r.n for r in h3.records] == [0, 2]
+    assert h3.verdict == "full match"
 
 
 def test_compare_published_nothing_to_align():
     comparison = compare_published("toy", (1, 2), [0, 0, 0])
-    for hyp in comparison.hypotheses:
+    h1, h2, h3 = comparison.hypotheses
+    for hyp in (h1, h2):
         assert hyp.covered == 0
         assert hyp.verdict == "no match"
+    # n = 0 counted as 1 is the one coefficient H3 can pair with
+    assert list(h3.records) == [(0, 0, 1, 1, True)]
+    assert h3.verdict == "full match"
 
 
 def test_published_term_lists():
@@ -175,12 +187,15 @@ def test_remark_comparisons_structure():
         (seq2, PUBLISHED_MOD6_TERMS, Family.MOD6),
     ):
         coeffs = direct_counts_upto(family, 120)
-        assert [h.label for h in comparison.hypotheses] == ["H1", "H2"]
+        assert [h.label for h in comparison.hypotheses] == ["H1", "H2", "H3"]
         for hyp in comparison.hypotheses:
             assert hyp.covered == hyp.total_terms == 25
             for record in hyp.records:
                 assert record.reference == reference[record.position]
-                assert record.computed == coeffs[record.n]
+                if hyp.label == "H3" and record.n == 0:
+                    assert record.computed == 1  # the empty partition
+                else:
+                    assert record.computed == coeffs[record.n]
 
 
 def test_remark_comparisons_are_deterministic():
@@ -197,6 +212,26 @@ def test_remark_verdicts_report_divergence_as_finding():
     assert seq1.hypotheses[1].verdict == "partial match (first divergence at term 2)"
     assert seq2.hypotheses[0].verdict == "partial match (first divergence at term 4)"
     assert seq2.hypotheses[1].verdict == "partial match (first divergence at term 4)"
+
+
+def test_remark_h3_explains_both_published_lists():
+    """Both lists are the family's nonzero coefficients with n = 0 counted as 1."""
+    for comparison in remark_comparisons():
+        h3 = comparison.hypotheses[2]
+        assert h3.label == "H3"
+        assert (h3.verdict, h3.covered, h3.total_terms) == ("full match", 25, 25)
+
+
+@pytest.mark.parametrize("reference, family", [
+    (PUBLISHED_MOD3_TERMS, Family.MOD3), (PUBLISHED_MOD6_TERMS, Family.MOD6),
+])
+@pytest.mark.parametrize("k", [0, 1, 12, 24])
+def test_remark_h3_reports_a_changed_term(reference, family, k):
+    mutated = list(reference)
+    mutated[k] += 1
+    coeffs = direct_counts_upto(family, 120)
+    h3 = compare_published("mutated", mutated, coeffs).hypotheses[2]
+    assert h3.verdict == f"partial match (first divergence at term {k})"
 
 
 def _check_hypothesis(hyp, terms, coefficients):
@@ -244,20 +279,26 @@ coefficient_lists = st.lists(small_ints, min_size=1, max_size=40)
 def test_compare_bfile_records_property(offset, values, coefficients):
     comparison = compare_bfile("b", BFile(offset, tuple(values)), coefficients)
     assert list(comparison.to_json_dict()) == ["name", "hypotheses"]
-    h1, h2 = comparison.hypotheses
-    assert h1.total_terms == h2.total_terms == len(values)
+    h1, h2, h3 = comparison.hypotheses
+    assert h1.total_terms == h2.total_terms == h3.total_terms == len(values)
     h1_terms = [(i, 2 * (offset + i), v) for i, v in enumerate(values)]
     _check_hypothesis(h1, h1_terms, coefficients)
     _check_hypothesis(h2, _nonzero_terms(values, coefficients), coefficients)
+    h3_terms = [(i, offset + i, v) for i, v in enumerate(values)]
+    _check_hypothesis(h3, h3_terms, coefficients)
 
 
 @given(reference=st.lists(small_ints, max_size=30), coefficients=coefficient_lists)
 @settings(max_examples=150)
 def test_compare_published_records_property(reference, coefficients):
-    h1, h2 = compare_published("toy", reference, coefficients).hypotheses
+    h1, h2, h3 = compare_published("toy", reference, coefficients).hypotheses
     first = next((n for n, c in enumerate(coefficients) if c != 0), None)
     h1_terms = [] if first is None else [
         (i, first + 2 * i, ref) for i, ref in enumerate(reference)
     ]
     _check_hypothesis(h1, h1_terms, coefficients)
     _check_hypothesis(h2, _nonzero_terms(reference, coefficients), coefficients)
+    # H3: n = 0 always holds the empty partition's 1, then the nonzero n >= 1
+    h3_ns = [0] + [n for n in range(1, len(coefficients)) if coefficients[n] != 0]
+    h3_terms = list(zip(range(len(reference)), h3_ns, reference))
+    _check_hypothesis(h3, h3_terms, [1] + coefficients[1:])
