@@ -75,22 +75,17 @@ def _report_line(report: VerificationReport) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    if args.family == "all":
-        selected = list(Family)
-    else:
-        selected = [Family.from_token(args.family)]
+    selected = list(Family) if args.family == "all" else [Family.from_token(args.family)]
     reports = [families.verify(family, args.order) for family in selected]
     disagreeing = sum(not r.all_equal for r in reports)
     if args.format == "text":
         lines = [_report_line(r) for r in reports]
         if disagreeing:
             lines.append(f"RESULT: {disagreeing} of {len(reports)} families disagree")
+        elif len(reports) > 1:
+            lines.append("RESULT: all families agree")
         else:
-            lines.append(
-                "RESULT: all families agree"
-                if len(reports) > 1
-                else "RESULT: family agrees"
-            )
+            lines.append("RESULT: family agrees")
         text = "".join(line + "\n" for line in lines)
     elif len(reports) == 1:
         text = _json_text(reports[0].to_json_dict())
@@ -105,32 +100,22 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
-    n = args.n
     header = (
-        f"partitions of n = {n} with a unique largest part equal "
+        f"partitions of n = {args.n} with a unique largest part equal "
         "to the sum of the rest"
     )
-    lines = [header, ""]
-    name_width = max(len(f.value) for f in Family)
-    rows = []
+    rows = [("family", "count", "oeis", "partitions")]
     for family in Family:
-        witnesses = families.list_partitions(family, n)
+        witnesses = families.list_partitions(family, args.n)
         shown = ", ".join("+".join(map(str, p)) for p in witnesses) or "(none)"
         oeis = families.OEIS_CROSS_REFERENCE[family]
-        rows.append((family.value, len(witnesses), oeis, shown))
-    count_width = max(5, max(len(str(v)) for _, v, _, _ in rows))
-    oeis_width = max(4, max(len(x) for _, _, x, _ in rows))
-    lines.append(
-        f"{'family':<{name_width}}  {'count':>{count_width}}  "
-        f"{'oeis':<{oeis_width}}  partitions"
-    )
+        rows.append((family.value, str(len(witnesses)), oeis, shown))
+    # the column titles are a row too, so each column is as wide as its widest cell
+    name_w, count_w, oeis_w = (max(len(row[i]) for row in rows) for i in range(3))
+    lines = [header, ""]
     for name, value, oeis, shown in rows:
-        lines.append(
-            f"{name:<{name_width}}  {value:>{count_width}}  "
-            f"{oeis:<{oeis_width}}  {shown}"
-        )
-    lines.append("")
-    lines.append(ODD_DISTINCT_TABLE_NOTE)
+        lines.append(f"{name:<{name_w}}  {value:>{count_w}}  {oeis:<{oeis_w}}  {shown}")
+    lines += ["", ODD_DISTINCT_TABLE_NOTE]
     return "".join(line + "\n" for line in lines), 0
 
 
@@ -152,8 +137,7 @@ def _comparison_text(comparison: seqcompare.SequenceComparison, details) -> str:
 
 
 def _term_table(hyp: seqcompare.HypothesisResult) -> list[str]:
-    if not hyp.records:
-        return []
+    # cmd_remark_check has already refused any hypothesis with an uncovered term
     return ["  term  n    reference  computed  match"] + [
         f"  {r.position:<4}  {r.n:<3}  {r.reference:<9}  "
         f"{r.computed:<8}  {'yes' if r.match else 'NO'}"
@@ -213,9 +197,7 @@ def cmd_bfile_export(args: argparse.Namespace) -> tuple[str, int]:
     family = Family.from_token(args.family)
     coefficients = families.direct_counts_upto(family, args.order)
     if args.mode == "even":
-        bfile = seqcompare.BFile(
-            offset=0, values=tuple(coefficients[n] for n in range(0, args.order + 1, 2))
-        )
+        bfile = seqcompare.BFile(offset=0, values=tuple(coefficients[::2]))
     elif args.mode == "all":
         bfile = seqcompare.BFile(offset=0, values=tuple(coefficients))
     else:  # nonzero

@@ -175,7 +175,7 @@ def compare_published(
         else f"term i is the coefficient at n = {first} + 2*i "
         "(successive even n from the first nonzero coefficient)"
     )
-    with_empty = [1, *coefficients[1:]]  # n = 0 counts the empty partition
+    with_empty = [1, *coefficients[1:]][: len(coefficients)]  # [] stays []
     return _aligned(name, reference, (
         ("H1", h1, coefficients, lambda i: None if first is None else first + 2 * i),
         ("H2", "term i is the i-th nonzero coefficient in increasing n order",

@@ -169,6 +169,9 @@ def test_compare_published_nothing_to_align():
     # n = 0 counted as 1 is the one coefficient H3 can pair with
     assert list(h3.records) == [(0, 0, 1, 1, True)]
     assert h3.verdict == "full match"
+    # with no computed coefficient at all, not even n = 0 is there to pair
+    for hyp in compare_published("toy", (1, 2), []).hypotheses:
+        assert (hyp.covered, hyp.verdict) == (0, "no match")
 
 
 def test_published_term_lists():
