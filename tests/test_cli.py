@@ -367,7 +367,8 @@ def test_bfile_round_trip_through_cli(capsys, tmp_path):
 def test_every_export_mode_round_trips(capsys, tmp_path, family, mode, label):
     """bfile-compare reads each bfile-export mode back under its own hypothesis."""
     path = tmp_path / "b.txt"
-    run(capsys, "bfile-export", family, "--order", "60", "--mode", mode, "--output", str(path))
+    argv = ("bfile-export", family, "--order", "60", "--mode", mode, "--output", str(path))
+    assert run(capsys, *argv)[0] == 0
     code, out, _ = run(capsys, "bfile-compare", str(path), family, "--order", "60",
                        "--format", "json")
     assert code == 0
