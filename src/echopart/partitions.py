@@ -9,6 +9,8 @@ empty tuple is the one partition of 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 
 Partition = tuple[int, ...]
 
@@ -74,8 +76,16 @@ MOD6 = Constraint(modulus=6, residues=frozenset({1, 5}))
 def count_upto(limit: int, constraint: Constraint) -> list[int]:
     """Counts of constrained partitions of 0..limit, one DP pass.
 
-    Each allowed part value is processed once: bounded 0/1 when the
-    constraint is distinct, to saturation otherwise.  O(limit) memory.
+    Each allowed part value is processed once, as C-level slice passes:
+    - distinct: ``counts[part:] += counts`` in one slice, 0/1 per part;
+    - repeated, part*part <= limit: a running sum down each residue
+      class mod part;
+    - repeated, larger part: block by block, each block of ``part`` cells
+      adding the already-updated block before it.
+    The split takes whichever is fewer Python-level steps: part residue
+    classes or limit/part blocks.
+    The cost is one pass per allowed part, bounded by the big-integer
+    additions rather than the interpreter.  O(limit) memory.
     """
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
@@ -86,11 +96,16 @@ def count_upto(limit: int, constraint: Constraint) -> list[int]:
         if not constraint.allows(part):
             continue
         if constraint.distinct:
-            for total in range(limit, part - 1, -1):
-                counts[total] += counts[total - part]
+            # the right-hand side is built in full first, so every addend is old
+            counts[part:] = map(add, counts[part:], counts)
+        elif part * part <= limit:
+            for r in range(part):
+                counts[r::part] = accumulate(counts[r::part])
         else:
-            for total in range(part, limit + 1):
-                counts[total] += counts[total - part]
+            for s in range(part, limit + 1, part):
+                counts[s : s + part] = map(
+                    add, counts[s : s + part], counts[s - part : s]
+                )
     return counts
 
 

@@ -108,6 +108,29 @@ def binomial_loop(factors, order: int) -> list[int]:
     return coeffs
 
 
+def dp_loop(limit: int, constraint) -> list[int]:
+    """Counts of constrained partitions of 0..limit by the textbook DP, one
+    Python step per cell: for each allowed part, descending totals (0/1)
+    when the constraint is distinct, ascending totals otherwise.
+
+    The reference for partitions.count_upto's slice passes.  It reads only
+    the constraint's distinct, min_part, max_part and allows().
+    """
+    counts = [0] * (limit + 1)
+    counts[0] = 1
+    top = limit if constraint.max_part is None else min(limit, constraint.max_part)
+    for part in range(constraint.min_part, top + 1):
+        if not constraint.allows(part):
+            continue
+        if constraint.distinct:
+            for total in range(limit, part - 1, -1):
+                counts[total] += counts[total - part]
+        else:
+            for total in range(part, limit + 1):
+                counts[total] += counts[total - part]
+    return counts
+
+
 def product_coeffs(factors, order: int, inverted: bool = False) -> list[int]:
     """Expand prod over (sign, offset, step) of (1 - sign*q^e) for e in the
     progression offset, offset+step, ... up to order.  With inverted=True

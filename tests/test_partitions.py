@@ -112,6 +112,54 @@ def test_bounded_constraint_against_brute_force():
         assert count(n, c) == expected
 
 
+@st.composite
+def constraints_and_limits(draw):
+    limit = draw(st.integers(min_value=0, max_value=400))
+    modulus = draw(st.integers(min_value=1, max_value=7))
+    constraint = Constraint(
+        distinct=draw(st.booleans()),
+        modulus=modulus,
+        residues=draw(st.frozensets(st.integers(0, modulus - 1), min_size=1)),
+        min_part=draw(st.integers(min_value=1, max_value=12)),
+        max_part=draw(st.none() | st.integers(min_value=1, max_value=max(limit, 1))),
+    )
+    return limit, constraint
+
+
+@given(case=constraints_and_limits())
+@settings(max_examples=150, deadline=None)
+def test_count_upto_matches_dp_loop(case):
+    limit, constraint = case
+    assert count_upto(limit, constraint) == bruteforce.dp_loop(limit, constraint)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 12])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_count_upto_at_the_residue_to_block_boundary(p, distinct):
+    """part*part <= limit runs down residue classes, a larger part in blocks;
+    p*p - 1 leaves a partial last block and p*p + 1 a one-cell one."""
+    for limit in (p * p - 1, p * p, p * p + 1):
+        for constraint in (
+            Constraint(distinct=distinct, min_part=p),
+            Constraint(distinct=distinct, min_part=p, max_part=p),
+            Constraint(distinct=distinct, modulus=p, residues={0}),
+        ):
+            assert count_upto(limit, constraint) == bruteforce.dp_loop(limit, constraint)
+
+
+def test_count_upto_with_part_equal_to_limit():
+    for limit in (1, 2, 5, 10):
+        for distinct in (False, True):
+            only_limit = Constraint(distinct=distinct, min_part=limit)
+            assert count_upto(limit, only_limit) == [1] + [0] * (limit - 1) + [1]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_count_upto_matches_dp_loop_on_presets_at_2000(name):
+    constraint = PRESETS[name]
+    assert count_upto(2000, constraint) == bruteforce.dp_loop(2000, constraint)
+
+
 def test_enumeration_golden():
     assert enumerate_partitions(6, UNRESTRICTED) == [
         (6,),
