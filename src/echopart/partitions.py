@@ -76,16 +76,16 @@ MOD6 = Constraint(modulus=6, residues=frozenset({1, 5}))
 def count_upto(limit: int, constraint: Constraint) -> list[int]:
     """Counts of constrained partitions of 0..limit, one DP pass.
 
-    Each allowed part value is processed once, as C-level slice passes:
-    - distinct: ``counts[part:] += counts`` in one slice, 0/1 per part;
+    Each allowed part value is processed once, in C-level slice passes:
+    - distinct: one shifted addition over the whole list, so each part
+      is used at most once;
     - repeated, part*part <= limit: a running sum down each residue
       class mod part;
     - repeated, larger part: block by block, each block of ``part`` cells
       adding the already-updated block before it.
-    The split takes whichever is fewer Python-level steps: part residue
-    classes or limit/part blocks.
-    The cost is one pass per allowed part, bounded by the big-integer
-    additions rather than the interpreter.  O(limit) memory.
+    The split keeps the Python-level steps per part at min(part,
+    limit/part).  Big-integer additions, not the interpreter, bound the
+    cost.  O(limit) memory.
     """
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")

@@ -137,7 +137,7 @@ def test_count_upto_matches_dp_loop(case):
 @pytest.mark.parametrize("distinct", [False, True])
 def test_count_upto_at_the_residue_to_block_boundary(p, distinct):
     """part*part <= limit runs down residue classes, a larger part in blocks;
-    p*p - 1 leaves a partial last block and p*p + 1 a one-cell one."""
+    the limits give partial last blocks and parts equal to the limit."""
     for limit in (p * p - 1, p * p, p * p + 1):
         for constraint in (
             Constraint(distinct=distinct, min_part=p),
@@ -145,13 +145,6 @@ def test_count_upto_at_the_residue_to_block_boundary(p, distinct):
             Constraint(distinct=distinct, modulus=p, residues={0}),
         ):
             assert count_upto(limit, constraint) == bruteforce.dp_loop(limit, constraint)
-
-
-def test_count_upto_with_part_equal_to_limit():
-    for limit in (1, 2, 5, 10):
-        for distinct in (False, True):
-            only_limit = Constraint(distinct=distinct, min_part=limit)
-            assert count_upto(limit, only_limit) == [1] + [0] * (limit - 1) + [1]
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
