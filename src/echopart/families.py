@@ -44,12 +44,11 @@ class Family(Enum):
 
     @classmethod
     def from_token(cls, text: str) -> Family:
-        token = text.strip().lower().replace("_", "-")
-        for family in cls:
-            if family.value == token:
-                return family
-        known = ", ".join(f.value for f in cls)
-        raise ValueError(f"unknown family {text!r} (expected one of: {known})")
+        try:
+            return cls(text.strip().lower().replace("_", "-"))
+        except ValueError:
+            known = ", ".join(f.value for f in cls)
+            raise ValueError(f"unknown family {text!r} (expected one of: {known})") from None
 
 
 OEIS_CROSS_REFERENCE: Mapping[Family, str] = {

@@ -24,9 +24,9 @@ class Constraint:
     distinct           -- no repeated part values.
     modulus, residues  -- parts must be congruent to an allowed residue;
                           both given together or not at all.
-    min_part, max_part -- inclusive bounds on part values.  max_part is
-                          general-oracle utility; the family definitions
-                          never need it.
+    min_part, max_part -- inclusive bounds on part values, read only by
+                          allows().  max_part is general-oracle utility;
+                          the family definitions never need it.
     """
 
     distinct: bool = False
@@ -91,8 +91,7 @@ def count_upto(limit: int, constraint: Constraint) -> list[int]:
         raise ValueError(f"limit must be non-negative, got {limit}")
     counts = [0] * (limit + 1)
     counts[0] = 1
-    top = limit if constraint.max_part is None else min(limit, constraint.max_part)
-    for part in range(constraint.min_part, top + 1):
+    for part in range(1, limit + 1):
         if not constraint.allows(part):
             continue
         if constraint.distinct:
@@ -124,24 +123,16 @@ def enumerate_partitions(n: int, constraint: Constraint) -> list[Partition]:
         raise ValueError(f"n must be non-negative, got {n}")
     if n > DEFAULT_ENUMERATION_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    first_max = n if constraint.max_part is None else min(n, constraint.max_part)
     out: list[Partition] = []
-    _descend(n, first_max, constraint, (), out)
+
+    def descend(remaining: int, max_allowed: int, prefix: Partition) -> None:
+        if remaining == 0:
+            out.append(prefix)
+            return
+        for part in range(min(remaining, max_allowed), 0, -1):
+            if constraint.allows(part):
+                next_max = part - 1 if constraint.distinct else part
+                descend(remaining - part, next_max, prefix + (part,))
+
+    descend(n, n, ())
     return out
-
-
-def _descend(
-    remaining: int,
-    max_allowed: int,
-    constraint: Constraint,
-    prefix: Partition,
-    out: list[Partition],
-) -> None:
-    if remaining == 0:
-        out.append(prefix)
-        return
-    for part in range(min(remaining, max_allowed), constraint.min_part - 1, -1):
-        if not constraint.allows(part):
-            continue
-        next_max = part - 1 if constraint.distinct else part
-        _descend(remaining - part, next_max, constraint, prefix + (part,), out)

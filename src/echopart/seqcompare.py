@@ -58,7 +58,6 @@ def parse_bfile(text: str) -> BFile:
     """Parse b-file text; malformed lines are rejected with their line number."""
     offset: int | None = None
     values: list[int] = []
-    expected: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # splitlines() already dropped any CR; term lines are the common case
         m = _BFILE_LINE.fullmatch(raw)
@@ -68,13 +67,13 @@ def parse_bfile(text: str) -> BFile:
                 continue
             raise ValueError(f"line {lineno}: malformed b-file line {line!r}")
         index, value = int(m.group(1)), int(m.group(2))
-        if expected is None:
+        if offset is None:
             offset = index
-        elif index != expected:
+        elif index != offset + len(values):
             raise ValueError(
-                f"line {lineno}: non-contiguous index {index} (expected {expected})"
+                f"line {lineno}: non-contiguous index {index} "
+                f"(expected {offset + len(values)})"
             )
-        expected = index + 1
         values.append(value)
     return BFile(offset=offset, values=tuple(values))
 
@@ -167,7 +166,8 @@ def compare_published(
     increasing n order; H3 does the same with n = 0 counted as 1, the
     empty partition.
     """
-    first = next((n for n, c in enumerate(coefficients) if c != 0), None)
+    nth = _nth_nonzero(coefficients)
+    first = nth(0)
     h1 = (
         "terms at successive even n: no nonzero coefficient "
         "within the computed order, nothing to align"
@@ -179,7 +179,7 @@ def compare_published(
     return _aligned(name, reference, (
         ("H1", h1, coefficients, lambda i: None if first is None else first + 2 * i),
         ("H2", "term i is the i-th nonzero coefficient in increasing n order",
-         coefficients, _nth_nonzero(coefficients)),
+         coefficients, nth),
         ("H3", "term i is the i-th nonzero coefficient with n = 0 counted as 1",
          with_empty, _nth_nonzero(with_empty)),
     ))

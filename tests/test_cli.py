@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import echopart
 from echopart import Family, direct_counts_upto, genfun_series
 from echopart import cli, seqcompare
 from echopart import families as families_module
@@ -425,3 +429,18 @@ def test_genfun_cli_consistency(capsys):
     for line in out.splitlines():
         n, value = line.split()
         assert series.coefficient(int(n)) == int(value)
+
+
+def test_module_entry_point_matches_main(capsys):
+    """``python -m echopart.cli`` exits and prints as cli.main does."""
+    src = str(Path(echopart.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = ["verify", "plain", "10"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "echopart.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out)

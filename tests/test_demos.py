@@ -19,6 +19,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_stdout_is_pinned(demo):
     run = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, capture_output=True, check=True
+        [sys.executable, "-W", "error::DeprecationWarning", str(demo)],
+        cwd=ROOT,
+        capture_output=True,
+        check=True,
     )
     assert run.stdout == (FIXTURES / f"{demo.stem}.txt").read_bytes()

@@ -77,6 +77,11 @@ def test_batched_counts_agree(family):
     ]
 
 
+def test_batched_counts_reject_negative_limit():
+    with pytest.raises(ValueError, match="^limit must be non-negative, got -1$"):
+        direct_counts_upto(Family.PLAIN, -1)
+
+
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
 def test_genfun_constant_term_is_zero(family):
     assert genfun_series(family, 0).coefficient(0) == 0

@@ -113,8 +113,8 @@ def test_bounded_constraint_against_brute_force():
 
 
 @st.composite
-def constraints_and_limits(draw):
-    limit = draw(st.integers(min_value=0, max_value=400))
+def constraints_and_limits(draw, max_limit=400):
+    limit = draw(st.integers(min_value=0, max_value=max_limit))
     modulus = draw(st.integers(min_value=1, max_value=7))
     constraint = Constraint(
         distinct=draw(st.booleans()),
@@ -185,6 +185,33 @@ def test_enumeration_agrees_with_count(name):
             assert list(parts) == sorted(parts, reverse=True)
             if constraint.distinct:
                 assert len(set(parts)) == len(parts)
+
+
+@given(case=constraints_and_limits(max_limit=30))
+@settings(max_examples=150, deadline=None)
+def test_enumeration_matches_filtered_brute_force(case):
+    n, constraint = case
+    expected = [
+        parts
+        for parts in bruteforce.all_partitions(n)
+        if all(constraint.allows(p) for p in parts)
+        and (not constraint.distinct or len(set(parts)) == len(parts))
+    ]
+    assert enumerate_partitions(n, constraint) == expected
+
+
+def test_loops_read_parts_only_through_allows(monkeypatch):
+    """count_upto and enumerate_partitions take the part set from allows()
+    alone; bounds restated as loop limits would skip the odd parts below 5."""
+    monkeypatch.setattr(Constraint, "allows", lambda self, part: part % 2 == 1)
+    bounded = Constraint(min_part=5, max_part=9)
+    odd = PRESET_RULES["odd"][0]
+    assert count_upto(20, bounded) == [
+        bruteforce.reference_restricted_count(n, odd, False) for n in range(21)
+    ]
+    assert enumerate_partitions(12, bounded) == [
+        parts for parts in bruteforce.all_partitions(12) if all(map(odd, parts))
+    ]
 
 
 def test_enumeration_cap():

@@ -402,6 +402,13 @@ def test_evaluate_fuzz_raises_only_value_error(text):
     assert series.order == 12
 
 
+def test_products_reject_negative_order():
+    with pytest.raises(ValueError, match="^order must be non-negative, got -1$"):
+        pochhammer(EULER, -1)
+    with pytest.raises(ValueError, match="^order must be non-negative, got -2$"):
+        geometric(GeometricSpec(1, 2), -2)
+
+
 def test_evaluate_rejects_negative_order():
     with pytest.raises(ValueError, match="order must be non-negative"):
         evaluate("(q;q)", -1)

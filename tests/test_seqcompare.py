@@ -59,6 +59,12 @@ def test_parse_rejects_non_contiguous_indices():
         parse_bfile("1 5\n3 6\n")
 
 
+def test_parse_names_the_expected_index():
+    message = r"^line 5: non-contiguous index 9 \(expected 8\)$"
+    with pytest.raises(ValueError, match=message):
+        parse_bfile("# comment\n5 1\n6 2\n7 3\n9 4\n")
+
+
 def test_parse_rejects_empty_input():
     for text in ("# only a comment\n", ""):
         with pytest.raises(ValueError, match="^a b-file needs at least one term$"):
