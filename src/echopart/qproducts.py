@@ -19,10 +19,10 @@ C-level pass over the N+1 coefficients: O(N) per binomial, O(N^2) in all.
 
 :func:`evaluate` reads the paper's notation, signed sums such as
 ``(q^4;q^4)/(q^2;q^2) - q^2/(1-q^4) - 1``, and expands them with these
-builders; the family recipes and ``echopart expand`` share it.  It divides
-by a dense denominator, never expands it and then inverts: each binomial is
-divided out of the numerator (or 1) in O(N) C-level steps, where inverting
-the dense expansion would add O(N^2) steps in Python.
+builders; the family recipes and ``echopart expand`` share it.  A quotient
+is one division, whatever its denominator: the numerator (or 1) is divided
+by an expanded theta denominator with ``/``, or by a dense one binomial by
+binomial in O(N) C-level steps each, never expanded and then inverted.
 
 Infinite products with |q| < 1 make sense here only as formal series; no
 floating point is involved anywhere.
@@ -161,7 +161,7 @@ _SYMBOL = rf"\(((?:-?{_POWER},)*-?{_POWER});({_POWER})\)"
 _TERM = (
     r"([+-]?)(?:(\d+)(?![\d/])"                  # integer constant
     rf"|(1|{_POWER})/\(1-({_POWER})\)"           # comb q^k/(1-q^d)
-    rf"|1/{_SYMBOL}|{_SYMBOL}(?:/{_SYMBOL})?)"    # 1/(den), (num), (num)/(den)
+    rf"|(?:(1|{_SYMBOL})/)?{_SYMBOL})"            # (num), 1/(den), (num)/(den)
 )
 
 
@@ -179,11 +179,11 @@ def _spec(factors: str, step: str) -> PochhammerSpec:
 
 
 def _quotient(num: PochhammerSpec | None, den: PochhammerSpec, order: int) -> TruncatedSeries:
-    """num/den (1/den if num is None): a theta den is expanded and inverted
-    before num is expanded; any other den is divided out binomial by binomial."""
+    """num/den (1/den if num is None) as one division: by a theta den,
+    expanded before num, or by any other den binomial by binomial."""
     if _theta_shape(den.factors) is not None:
-        inverse = pochhammer(den, order).invert()
-        return inverse if num is None else inverse * pochhammer(num, order)
+        theta = pochhammer(den, order)
+        return theta.invert() if num is None else pochhammer(num, order) / theta
     coeffs = [1] + [0] * order if num is None else list(pochhammer(num, order).coeffs)
     for sign, offset, step in den.factors:
         for e in range(offset, order + 1, step):
@@ -199,10 +199,10 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
       q^2/(1-q^4)          a comb; 1/(1-q^4) is q^0/(1-q^4)
       (-q^2,-q^4;q^6)      a Pochhammer symbol; '-' makes a factor (1 + ...)
       1/(q^2;q^2)          its reciprocal
-      (q^4;q^4)/(q^2;q^2)  a quotient: a theta denominator is expanded and
-                           inverted first, O(sqrt(order)) per coefficient; any
-                           other is divided out, never expanded, in O(order)
-                           C-level steps per binomial
+      (q^4;q^4)/(q^2;q^2)  a quotient, one division whatever the denominator:
+                           by a theta one expanded first, O(sqrt(order)) per
+                           coefficient, or by any other binomial by binomial,
+                           O(order) C-level steps each, never expanded
     The first term starts the sum and may carry a sign; every later term
     is added or subtracted according to its sign.
     """
@@ -220,17 +220,16 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
                 "1/(q^2;q^2) or (q^4;q^4)/(q^2;q^2)"
             )
         pos = m.end()
-        sign, constant, k, d, recip, recip_step, num, num_step, den, den_step = m.groups()
+        sign, constant, k, d, over, num, num_step, sym, sym_step = m.groups()
         if constant is not None:
             value = monomial(int(constant), 0, order)
         elif k is not None:
             value = geometric(GeometricSpec(_exponent(k), _exponent(d)), order)
-        elif recip is not None:
-            value = _quotient(None, _spec(recip, recip_step), order)
-        elif den is None:
-            value = pochhammer(_spec(num, num_step), order)
+        elif over is None:
+            value = pochhammer(_spec(sym, sym_step), order)
         else:
-            value = _quotient(_spec(num, num_step), _spec(den, den_step), order)
+            num = None if over == "1" else _spec(num, num_step)
+            value = _quotient(num, _spec(sym, sym_step), order)
         if result is None:
             result = -value if sign == "-" else value
         else:

@@ -13,6 +13,7 @@ freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,50 +79,47 @@ class TruncatedSeries:
 
     def __mul__(self, other: TruncatedSeries | int) -> TruncatedSeries:
         other = self._coerced(other)
-        n = self.order
-        # the outer loop skips zeros, so give it the sparser operand:
-        # O(N * nonzeros) instead of O(N^2) when one side is a theta series
+        # one C-level pass per nonzero term of the outer operand, so give it
+        # the sparser one: O(N * nonzeros) when one side is a theta series
         outer, inner = self.coeffs, other.coeffs
         if outer.count(0) < inner.count(0):
             outer, inner = inner, outer
-        out = [0] * (n + 1)
+        out = [0] * len(outer)
         for i, a in enumerate(outer):
-            if a == 0:
-                continue
-            for j in range(n - i + 1):
-                b = inner[j]
-                if b != 0:
-                    out[i + j] += a * b
+            if a:
+                out[i:] = map(add, out[i:], map(a.__mul__, inner))
         return TruncatedSeries(tuple(out))
 
     __rmul__ = __mul__
 
-    def invert(self) -> TruncatedSeries:
-        """Multiplicative inverse modulo q^(order+1).
-
-        Over the integers this exists exactly when the constant term is a
-        unit (+1 or -1).  Uses the standard recurrence
-        r[0] = 1/a[0], r[k] = -(sum_{i=1..k} a[i]*r[k-i]) / a[0],
-        summing over the nonzero a[i] only, so the cost is
-        O(order * nonzero terms).
+    def __truediv__(self, other: TruncatedSeries | int) -> TruncatedSeries:
+        """The quotient self/other modulo q^(order+1), which exists over the
+        integers exactly when other's constant term is +1 or -1.  Uses
+        the standard recurrence
+        r[k] = (self[k] - sum_{i=1..k} other[i]*r[k-i]) / other[0],
+        summing over the nonzero other[i] only, so the cost is
+        O(order * nonzero terms of other).
         """
-        c0 = self.coeffs[0]
+        other = self._coerced(other)
+        c0 = other.coeffs[0]
         if c0 not in (1, -1):
             raise ValueError(
                 f"constant term must be +1 or -1 to invert over the integers, got {c0}"
             )
-        n = self.order
-        terms = [(i, a) for i, a in enumerate(self.coeffs) if i and a]
-        inv = [0] * (n + 1)
-        inv[0] = c0  # 1/c0 equals c0 for a unit of Z
-        for k in range(1, n + 1):
-            acc = 0
+        terms = [(i, a) for i, a in enumerate(other.coeffs) if i and a]
+        out = list(self.coeffs)
+        for k in range(len(out)):
+            acc = out[k]
             for i, a in terms:
                 if i > k:
                     break
-                acc += a * inv[k - i]
-            inv[k] = -acc * c0  # dividing by c0 is multiplying by it
-        return TruncatedSeries(tuple(inv))
+                acc -= a * out[k - i]
+            out[k] = acc * c0  # dividing by a unit of Z is multiplying by it
+        return TruncatedSeries(tuple(out))
+
+    def invert(self) -> TruncatedSeries:
+        """Multiplicative inverse modulo q^(order+1): ``one(order) / self``."""
+        return one(self.order) / self
 
     # -- presentation ---------------------------------------------------
 

@@ -16,6 +16,7 @@ import bruteforce
 from echopart import (
     CoefficientRecord,
     Family,
+    TruncatedSeries,
     direct_count,
     direct_counts_upto,
     evaluate,
@@ -277,6 +278,26 @@ def test_closed_form_route_never_counts_partitions(monkeypatch):
     for family in Family:
         series = genfun_series(family, 200)
         assert list(series.coeffs[:31:2]) == EXPECTED_EVEN[family]
+
+
+def test_recipe_quotients_divide_once_and_never_multiply(monkeypatch):
+    """Each recipe's quotient is one division; only plain's reciprocal
+    goes through invert()."""
+    inverted = []
+    original = TruncatedSeries.invert
+
+    def refuse(self, other):
+        raise AssertionError("a recipe multiplied two series")
+
+    def counting(self):
+        inverted.append(self.order)
+        return original(self)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", refuse)
+    monkeypatch.setattr(TruncatedSeries, "invert", counting)
+    for family in Family:
+        evaluate(families_module.RECIPES[family], 60)
+    assert inverted == [60]
 
 
 def test_recipes_expand_only_theta_products(monkeypatch):

@@ -175,6 +175,31 @@ def test_theta_shapes_at_edge_orders(factors):
         assert list(series.coeffs) == bruteforce.product_coeffs(factors, order), order
 
 
+@st.composite
+def dividends_and_divisors(draw):
+    """(a, b) at one order up to 300; b has constant term +-1 and is either
+    dense or a theta series from pochhammer."""
+    n = draw(st.integers(min_value=0, max_value=300))
+    a = draw(st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=n + 1, max_size=n + 1))
+    unit = draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        tail = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n))
+        b = TruncatedSeries((unit, *tail))
+    else:
+        theta = pochhammer(PochhammerSpec(tuple(draw(st.one_of(EULER_FACTORS, triple_factors())))), n)
+        b = theta if unit == 1 else -theta
+    return TruncatedSeries(tuple(a)), b
+
+
+@given(dividends_and_divisors())
+@settings(max_examples=100, deadline=None)
+def test_division_matches_inverse_times_and_the_reference(pair):
+    a, b = pair
+    quotient = a / b
+    assert quotient == a * b.invert()
+    assert bruteforce.poly_mul(list(quotient.coeffs), list(b.coeffs), a.order) == list(a.coeffs)
+
+
 @pytest.mark.parametrize(
     "factors",
     [

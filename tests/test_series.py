@@ -99,6 +99,28 @@ def test_invert_requires_unit_constant():
         TruncatedSeries((0, 1)).invert()
 
 
+def test_division_by_plus_and_minus_one():
+    a = TruncatedSeries((3, -1, 0, 7))
+    assert a / 1 == a
+    assert a / one(3) == a
+    assert a / -1 == -a
+    assert a / -one(3) == -a
+
+
+def test_division_requires_unit_constant():
+    a = TruncatedSeries((1, 2, 3))
+    message = r"^constant term must be \+1 or -1 to invert over the integers, got 2$"
+    with pytest.raises(ValueError, match=message):
+        a / TruncatedSeries((2, 1, 0))
+    with pytest.raises(ValueError, match=message):
+        a / 2
+
+
+def test_division_order_mismatch_is_an_error():
+    with pytest.raises(ValueError, match="^order mismatch: 2 vs 1$"):
+        TruncatedSeries((1, 2, 3)) / TruncatedSeries((1, 2))
+
+
 def test_coefficients_never_wrap():
     big = 10**40
     s = monomial(big, 1, 2)

@@ -1,12 +1,14 @@
 """Ring-law checks for the series arithmetic, driven by hypothesis.
 
 Orders stay small (N <= 64) so the exhaustive convolutions are cheap; the
-coefficient range includes huge magnitudes to exercise exactness.
+coefficient range includes huge magnitudes to exercise exactness.  Products
+are also checked against tests/bruteforce.py at orders up to 300.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bruteforce
 from echopart import TruncatedSeries, one, zero
 
 ORDERS = st.integers(min_value=0, max_value=64)
@@ -77,3 +79,33 @@ def test_operations_commute_with_truncation(triple, k):
 def test_invert_commutes_with_truncation(s, k):
     k = min(k, s.order)
     assert s.invert().truncate(k) == s.truncate(k).invert()
+
+
+@st.composite
+def dense(draw, n):
+    return TruncatedSeries(tuple(draw(st.lists(COEFF, min_size=n + 1, max_size=n + 1))))
+
+
+@st.composite
+def sparse(draw, n):
+    """At most six nonzero coefficients, like a short stretch of a theta series."""
+    coeffs = [0] * (n + 1)
+    for e, c in draw(st.dictionaries(st.integers(min_value=0, max_value=n), COEFF, max_size=6)).items():
+        coeffs[e] = c
+    return TruncatedSeries(tuple(coeffs))
+
+
+@st.composite
+def factor_pairs(draw):
+    """(a, b) at one order up to 300: sparse * dense, dense * sparse or dense * dense."""
+    n = draw(st.integers(min_value=0, max_value=300))
+    left, right = draw(st.sampled_from(((sparse, dense), (dense, sparse), (dense, dense))))
+    return draw(left(n)), draw(right(n))
+
+
+@given(factor_pairs())
+@settings(max_examples=100, deadline=None)
+def test_multiplication_matches_the_reference(pair):
+    a, b = pair
+    expected = bruteforce.poly_mul(list(a.coeffs), list(b.coeffs), a.order)
+    assert list((a * b).coeffs) == expected
