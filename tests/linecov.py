@@ -24,15 +24,7 @@ PACKAGE = ROOT / "src" / "echopart"
 
 
 def _is_main_guard(node: ast.stmt) -> bool:
-    return (
-        isinstance(node, ast.If)
-        and isinstance(node.test, ast.Compare)
-        and isinstance(node.test.left, ast.Name)
-        and node.test.left.id == "__name__"
-        and [type(op) for op in node.test.ops] == [ast.Eq]
-        and isinstance(node.test.comparators[0], ast.Constant)
-        and node.test.comparators[0].value == "__main__"
-    )
+    return isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
 
 
 def _is_docstring(node: ast.stmt, parent: ast.AST) -> bool:
@@ -62,7 +54,7 @@ def statements(tree: ast.Module) -> list[ast.stmt]:
             visit(node)
 
     visit(tree)
-    return sorted(out, key=lambda node: node.lineno)
+    return out
 
 
 def main() -> int:
