@@ -107,7 +107,8 @@ def run(name: str, file: str, snippet: str, replacement: str, modules: list[str]
         return "killed"
     if proc.returncode == 0:
         return "survived"
-    return f"error (pytest exit {proc.returncode}: {proc.stdout.strip().splitlines()[-1:]})"
+    last = proc.stdout.strip().rpartition("\n")[2]
+    return f"error (pytest exit {proc.returncode}: {last})"
 
 
 def main() -> int:
