@@ -195,8 +195,6 @@ class VerificationReport:
 
 def verify(family: Family, order: int) -> VerificationReport:
     """Compare closed-form coefficients with direct counts for 0 <= n <= order."""
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
     genfun = genfun_series(family, order).coeffs
     direct = tuple(direct_counts_upto(family, order))
     return VerificationReport(family, order, genfun, direct)

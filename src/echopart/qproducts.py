@@ -22,7 +22,10 @@ C-level pass over the N+1 coefficients: O(N) per binomial, O(N^2) in all.
 builders; the family recipes and ``echopart expand`` share it.  A quotient
 is one division, whatever its denominator: the numerator (or 1) is divided
 by an expanded theta denominator with ``/``, or by a dense one binomial by
-binomial in O(N) C-level steps each, never expanded and then inverted.
+binomial, never expanded and then inverted.  One recurrence divides by every
+binomial (1 -+ q^e) of either sign: c[k] += +-c[k-e] for k ascending, taken a
+block of e coefficients at a time from the block below, already divided.
+That is N/e C-level slice steps and O(N) additions per binomial.
 
 Infinite products with |q| < 1 make sense here only as formal series; no
 floating point is involved anywhere.
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import partial
 from operator import add, sub
 from typing import NamedTuple
 
@@ -129,21 +132,6 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-def _divide(coeffs: list[int], sign: int, e: int) -> None:
-    """Divide coeffs in place by (1 - sign*q^e): c[k] += sign*c[k-e], k ascending."""
-    n = len(coeffs) - 1
-    if e * e > n:  # n/e blocks of e, each updated from the divided block below
-        op = add if sign == 1 else sub
-        for k in range(e, n + 1, e):
-            coeffs[k : k + e] = map(op, coeffs[k : k + e], coeffs[k - e : k])
-    elif sign == 1:  # e residue classes, each a running sum
-        for r in range(e):
-            coeffs[r::e] = accumulate(coeffs[r::e])
-    else:  # 1/(1 + q^e) = (1 - q^e) / (1 - q^(2e))
-        coeffs[e:] = map(sub, coeffs[e:], coeffs[: n + 1 - e])
-        _divide(coeffs, 1, 2 * e)
-
-
 def geometric(spec: GeometricSpec, order: int) -> TruncatedSeries:
     """Expand q^k/(1-q^d): ones at exponents k, k+d, k+2d, ... up to the order."""
     if order < 0:
@@ -186,8 +174,11 @@ def _quotient(num: PochhammerSpec | None, den: PochhammerSpec, order: int) -> Tr
         return theta.invert() if num is None else pochhammer(num, order) / theta
     coeffs = [1] + [0] * order if num is None else list(pochhammer(num, order).coeffs)
     for sign, offset, step in den.factors:
+        op = add if sign == 1 else sub
         for e in range(offset, order + 1, step):
-            _divide(coeffs, sign, e)
+            # over (1 - sign*q^e) by the recurrence in the module docstring
+            for k in range(e, order + 1, e):
+                coeffs[k : k + e] = map(op, coeffs[k : k + e], coeffs[k - e : k])
     return TruncatedSeries(tuple(coeffs))
 
 
@@ -202,18 +193,21 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
       (q^4;q^4)/(q^2;q^2)  a quotient, one division whatever the denominator:
                            by a theta one expanded first, O(sqrt(order)) per
                            coefficient, or by any other binomial by binomial,
-                           O(order) C-level steps each, never expanded
+                           each (1 -+ q^e) order/e slice steps and O(order)
+                           additions, never expanded
     The first term starts the sum and may carry a sign; every later term
-    is added or subtracted according to its sign.
+    is added or subtracted according to its sign.  The whole text is parsed,
+    and every spec built, before any term is expanded, so bad input fails
+    at once whatever the order.
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     compact = text.strip().replace(" ", "")
     term = re.compile(_TERM)
-    result, pos = None, 0
-    while result is None or pos < len(compact):
+    terms, pos = [], 0
+    while not terms or pos < len(compact):
         m = term.match(compact, pos)
-        if m is None or (result is not None and not m[1]):
+        if m is None or (terms and not m[1]):
             raise ValueError(
                 f"cannot parse {text!r} at {compact[pos:]!r}: expected a signed sum of "
                 "integers, combs like q^2/(1-q^4) and q-products like (-q^2,-q^4;q^6), "
@@ -222,16 +216,17 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
         pos = m.end()
         sign, constant, k, d, over, num, num_step, sym, sym_step = m.groups()
         if constant is not None:
-            value = monomial(int(constant), 0, order)
+            expand = partial(monomial, int(constant), 0)
         elif k is not None:
-            value = geometric(GeometricSpec(_exponent(k), _exponent(d)), order)
+            expand = partial(geometric, GeometricSpec(_exponent(k), _exponent(d)))
         elif over is None:
-            value = pochhammer(_spec(sym, sym_step), order)
+            expand = partial(pochhammer, _spec(sym, sym_step))
         else:
             num = None if over == "1" else _spec(num, num_step)
-            value = _quotient(num, _spec(sym, sym_step), order)
-        if result is None:
-            result = -value if sign == "-" else value
-        else:
-            result = result - value if sign == "-" else result + value
+            expand = partial(_quotient, num, _spec(sym, sym_step))
+        terms.append((sign, expand))
+    (sign, expand), *rest = terms
+    result = -expand(order) if sign == "-" else expand(order)
+    for sign, expand in rest:
+        result = result - expand(order) if sign == "-" else result + expand(order)
     return result

@@ -100,14 +100,22 @@ class TruncatedSeries:
         summing over the nonzero other[i] only, so the cost is
         O(order * nonzero terms of other).
         """
-        other = self._coerced(other)
-        c0 = other.coeffs[0]
+        return self._coerced(other)._divided_into(list(self.coeffs))
+
+    def invert(self) -> TruncatedSeries:
+        """Multiplicative inverse modulo q^(order+1): 1/self."""
+        unit = [0] * len(self.coeffs)
+        unit[0] = 1
+        return self._divided_into(unit)
+
+    def _divided_into(self, out: list[int]) -> TruncatedSeries:
+        """out/self by the recurrence above, overwriting the list out."""
+        c0 = self.coeffs[0]
         if c0 not in (1, -1):
             raise ValueError(
                 f"constant term must be +1 or -1 to invert over the integers, got {c0}"
             )
-        terms = [(i, a) for i, a in enumerate(other.coeffs) if i and a]
-        out = list(self.coeffs)
+        terms = [(i, a) for i, a in enumerate(self.coeffs) if i and a]
         for k in range(len(out)):
             acc = out[k]
             for i, a in terms:
@@ -116,10 +124,6 @@ class TruncatedSeries:
                 acc -= a * out[k - i]
             out[k] = acc * c0  # dividing by a unit of Z is multiplying by it
         return TruncatedSeries(tuple(out))
-
-    def invert(self) -> TruncatedSeries:
-        """Multiplicative inverse modulo q^(order+1): ``one(order) / self``."""
-        return one(self.order) / self
 
     # -- presentation ---------------------------------------------------
 

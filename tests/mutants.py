@@ -64,18 +64,19 @@ MUTANTS = [
      "coeffs[e] += (-s) ** abs(k)", "coeffs[e] = (-s) ** abs(k)", ["test_qproducts"]),
     ("pochhammer: theta sign", "qproducts.py",
      "+= (-s) ** abs(k)", "+= s ** abs(k)", ["test_qproducts"]),
-    ("_divide: block branch ignores the sign", "qproducts.py",
+    ("_quotient: dense division ignores the sign", "qproducts.py",
      "op = add if sign == 1 else sub", "op = add", ["test_qproducts"]),
-    ("_divide: running-sum branch skips residue 0", "qproducts.py",
-     "for r in range(e):", "for r in range(1, e):", ["test_qproducts"]),
-    ("_divide: 1/(1 + q^e) multiplies by (1 + q^e)", "qproducts.py",
-     "coeffs[e:] = map(sub, coeffs[e:], coeffs[: n + 1 - e])",
-     "coeffs[e:] = map(add, coeffs[e:], coeffs[: n + 1 - e])", ["test_qproducts"]),
+    ("_quotient: dense division one block short", "qproducts.py",
+     "for k in range(e, order + 1, e):", "for k in range(e, order + 1 - e, e):",
+     ["test_qproducts"]),
     ("_quotient: theta quotient drops its numerator", "qproducts.py",
      "return theta.invert() if num is None else pochhammer(num, order) / theta",
      "return theta.invert()", ["test_qproducts"]),
     ("evaluate: grammar without 1/(den)", "qproducts.py",
      "(?:(1|{_SYMBOL})/)?", "(?:({_SYMBOL})/)?", ["test_qproducts"]),
+    ("evaluate: each term expanded while parsing", "qproducts.py",
+     "terms.append((sign, expand))",
+     "terms.append((sign, partial(lambda value, _: value, expand(order))))", ["test_qproducts"]),
     ("__truediv__: subtracted terms added", "series.py",
      "acc -= a * out[k - i]", "acc += a * out[k - i]", ["test_series", "test_series_properties"]),
     ("__mul__: each pass one place late", "series.py",

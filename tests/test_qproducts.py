@@ -338,9 +338,9 @@ def test_evaluate_calls_the_builders_denominator_first(monkeypatch):
 @settings(max_examples=100, deadline=None)
 def test_dense_products_and_divisions_match_the_binomial_loop(num, den, order):
     """Slice-pass products and binomial-by-binomial division against the
-    reference loop (then invert()).  At order 300 the division by (1 -+ q^e)
-    runs sums for e <= 17 and blocks of e above, and most exponents leave a
-    partial last block."""
+    reference loop (then invert()).  The division by (1 -+ q^e) steps
+    through blocks of e coefficients, and at order 300 most exponents leave
+    a partial last block."""
     (num_text, num_factors), (den_text, den_factors) = num, den
     product = bruteforce.binomial_loop(num_factors, order)
     inverse = TruncatedSeries(tuple(bruteforce.binomial_loop(den_factors, order))).invert()
@@ -412,6 +412,23 @@ def test_evaluate_names_the_unparsed_remainder_of_a_bad_factor(text, remainder):
     with pytest.raises(ValueError) as excinfo:
         evaluate(text, 10)
     assert str(excinfo.value).startswith(f"cannot parse {text!r} at {remainder!r}")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("(-q;q) + (q;q) +", r"^cannot parse '\(-q;q\) \+ \(q;q\) \+' at '\+'"),
+     ("(-q;q) - (q^0;q)", "^factor offset must be >= 1, got 0$"),
+     ("q/(1-q^2) + 1/(q;q^0)", "^factor step must be >= 1, got 0$"),
+     ("(q;q)/(-q;q) - 1/(1-q^0)", "^period must be >= 1, got 0$")],
+)
+def test_evaluate_rejects_bad_text_before_expanding_any_term(monkeypatch, text, message):
+    def refuse(spec, order):
+        raise AssertionError("a term was expanded before the whole text was parsed")
+
+    monkeypatch.setattr(qproducts, "pochhammer", refuse)
+    monkeypatch.setattr(qproducts, "geometric", refuse)
+    with pytest.raises(ValueError, match=message):
+        evaluate(text, 20000)
 
 
 NEAR_GRAMMAR = st.text(alphabet="q^0129()/;,-+ ", max_size=30)

@@ -99,6 +99,21 @@ def test_invert_requires_unit_constant():
         TruncatedSeries((0, 1)).invert()
 
 
+def test_invert_constructs_only_its_result(monkeypatch):
+    """invert() divides into a plain list: the one series it builds is the inverse."""
+    built = []
+    original = TruncatedSeries.__post_init__
+
+    def counting(self):
+        built.append(self.coeffs)
+        original(self)
+
+    s = TruncatedSeries((1, 3, -2, 7, 0, 5))
+    monkeypatch.setattr(TruncatedSeries, "__post_init__", counting)
+    inverse = s.invert()
+    assert built == [inverse.coeffs]
+
+
 def test_division_by_plus_and_minus_one():
     a = TruncatedSeries((3, -1, 0, 7))
     assert a / 1 == a
