@@ -104,9 +104,7 @@ class TruncatedSeries:
 
     def invert(self) -> TruncatedSeries:
         """Multiplicative inverse modulo q^(order+1): 1/self."""
-        unit = [0] * len(self.coeffs)
-        unit[0] = 1
-        return self._divided_into(unit)
+        return self._divided_into([1] + [0] * self.order)
 
     def _divided_into(self, out: list[int]) -> TruncatedSeries:
         """out/self by the recurrence above, overwriting the list out."""
