@@ -14,18 +14,19 @@ Two product shapes are theta series, with O(sqrt(N)) nonzero coefficients
 that :func:`pochhammer` writes down directly instead of multiplying out:
 Euler's (q^m;q^m) (pentagonal number theorem) and the three-factor
 (s*q^a, s*q^(m-a), q^m; q^m) with s = +-1 (Jacobi triple product).
-Any other product is multiplied out binomial by binomial, each binomial one
-C-level pass over the N+1 coefficients: O(N) per binomial, O(N^2) in all.
+Any other symbol (z;p) = (s*q^a;q^m), a product or a denominator, is
+summed by Euler's series (z;p) = sum_n (-z)^n p^(n(n-1)/2) / (p;p)_n or
+Cauchy's 1/(z;p) = sum_n z^n p^(n^2-n) / ((p;p)_n (z;p)_n) (Andrews, The
+Theory of Partitions, ch. 2).  About sqrt(2N/m) terms start at an
+exponent <= N, each the one before shifted and divided by one binomial
+(two for Cauchy's): O(N*sqrt(N/m)) per symbol, not O(N) per binomial.
 
 :func:`evaluate` reads the paper's notation, signed sums such as
 ``(q^4;q^4)/(q^2;q^2) - q^2/(1-q^4) - 1``, and expands them with these
 builders; the family recipes and ``echopart expand`` share it.  A quotient
 is one division, whatever its denominator: the numerator (or 1) is divided
-by an expanded theta denominator with ``/``, or by a dense one binomial by
-binomial, never expanded and then inverted.  One recurrence divides by every
-binomial (1 -+ q^e) of either sign: c[k] += +-c[k-e] for k ascending, taken a
-block of e coefficients at a time from the block below, already divided.
-That is N/e C-level slice steps and O(N) additions per binomial.
+by an expanded theta denominator with ``/``, or by a dense one symbol by
+symbol with Cauchy's series, never expanded and then inverted.
 
 Infinite products with |q| < 1 make sense here only as formal series; no
 floating point is involved anywhere.
@@ -106,7 +107,8 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
     A factor whose lowest exponent already exceeds the order contributes
     nothing and is skipped; an empty factor list gives the constant 1.
     The theta shapes (see the module docstring) cost O(sqrt(order)) after
-    the allocation; every other product costs one O(order) slice pass per binomial.
+    the allocation; every other symbol (s*q^a;q^m) is summed by Euler's
+    series, O(order * sqrt(order/m)).
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
@@ -125,11 +127,34 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
                 k += step
         return TruncatedSeries(tuple(coeffs))
     coeffs[0] = 1
-    for sign, offset, step in spec.factors:
-        for e in range(offset, order + 1, step):
-            # times (1 - sign*q^e); the slices on the right are pre-update copies
-            coeffs[e:] = map(sub if sign == 1 else add, coeffs[e:], coeffs[: order + 1 - e])
+    for factor in spec.factors:
+        _by_symbol(coeffs, factor, inverse=False)
     return TruncatedSeries(tuple(coeffs))
+
+
+def _over(coeffs: list[int], sign: int, e: int) -> None:
+    """Divide coeffs in place by (1 - sign*q^e): c[k] += sign*c[k-e] for k
+    ascending, a block of e coefficients at a time from the block below."""
+    op = add if sign == 1 else sub
+    for k in range(e, len(coeffs), e):
+        coeffs[k : k + e] = map(op, coeffs[k : k + e], coeffs[k - e : k])
+
+
+def _by_symbol(coeffs: list[int], factor: PochhammerFactor, inverse: bool) -> None:
+    """Multiply coeffs in place by (z;p), z = sign*q^a and p = q^m, or divide
+    them by it if inverse, summing Euler's or Cauchy's series term by term."""
+    sign, a, m = factor
+    order = len(coeffs) - 1
+    term, e, n, unit = coeffs, 0, 0, 1
+    # term n starts at e = a*n + m*n(n-1)/2 (Euler's) or a*n + m*n(n-1) (Cauchy's)
+    while (e := e + a + (2 if inverse else 1) * n * m) <= order:
+        n += 1
+        term = term[: order + 1 - e]  # held from its lowest exponent e up
+        _over(term, 1, n * m)
+        if inverse:
+            _over(term, sign, a + (n - 1) * m)
+        unit *= sign if inverse else -sign
+        coeffs[e:] = map(add if unit == 1 else sub, coeffs[e:], term)
 
 
 def geometric(spec: GeometricSpec, order: int) -> TruncatedSeries:
@@ -168,17 +193,14 @@ def _spec(factors: str, step: str) -> PochhammerSpec:
 
 def _quotient(num: PochhammerSpec | None, den: PochhammerSpec, order: int) -> TruncatedSeries:
     """num/den (1/den if num is None) as one division: by a theta den,
-    expanded before num, or by any other den binomial by binomial."""
+    expanded before num, or by any other den symbol by symbol with
+    Cauchy's series."""
     if _theta_shape(den.factors) is not None:
         theta = pochhammer(den, order)
         return theta.invert() if num is None else pochhammer(num, order) / theta
     coeffs = [1] + [0] * order if num is None else list(pochhammer(num, order).coeffs)
-    for sign, offset, step in den.factors:
-        op = add if sign == 1 else sub
-        for e in range(offset, order + 1, step):
-            # over (1 - sign*q^e) by the recurrence in the module docstring
-            for k in range(e, order + 1, e):
-                coeffs[k : k + e] = map(op, coeffs[k : k + e], coeffs[k - e : k])
+    for factor in den.factors:
+        _by_symbol(coeffs, factor, inverse=True)
     return TruncatedSeries(tuple(coeffs))
 
 
@@ -192,9 +214,9 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
       1/(q^2;q^2)          its reciprocal
       (q^4;q^4)/(q^2;q^2)  a quotient, one division whatever the denominator:
                            by a theta one expanded first, O(sqrt(order)) per
-                           coefficient, or by any other binomial by binomial,
-                           each (1 -+ q^e) order/e slice steps and O(order)
-                           additions, never expanded
+                           coefficient, or by any other symbol by symbol with
+                           Cauchy's series, O(order * sqrt(order/m)) for a
+                           step q^m, never expanded
     The first term starts the sum and may carry a sign; every later term
     is added or subtracted according to its sign.  The whole text is parsed,
     and every spec built, before any term is expanded, so bad input fails

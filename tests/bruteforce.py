@@ -140,14 +140,15 @@ def product_coeffs(factors, order: int, inverted: bool = False) -> list[int]:
     acc = [1] + [0] * order
     for sign, offset, step in factors:
         for e in range(offset, order + 1, step):
+            # the sparse factor goes first: poly_mul skips its zero terms
             if inverted:
                 term = [0] * (order + 1)
                 for k in range(0, order + 1, e):
                     term[k] = sign ** (k // e)
-                acc = poly_mul(acc, term, order)
+                acc = poly_mul(term, acc, order)
             else:
                 binom = [0] * (order + 1)
                 binom[0] = 1
                 binom[e] = -sign
-                acc = poly_mul(acc, binom, order)
+                acc = poly_mul(binom, acc, order)
     return acc

@@ -64,11 +64,18 @@ MUTANTS = [
      "coeffs[e] += (-s) ** abs(k)", "coeffs[e] = (-s) ** abs(k)", ["test_qproducts"]),
     ("pochhammer: theta sign", "qproducts.py",
      "+= (-s) ** abs(k)", "+= s ** abs(k)", ["test_qproducts"]),
-    ("_quotient: dense division ignores the sign", "qproducts.py",
+    ("_over: dense division ignores the sign", "qproducts.py",
      "op = add if sign == 1 else sub", "op = add", ["test_qproducts"]),
-    ("_quotient: dense division one block short", "qproducts.py",
-     "for k in range(e, order + 1, e):", "for k in range(e, order + 1 - e, e):",
+    ("_over: dense division one block short", "qproducts.py",
+     "for k in range(e, len(coeffs), e):", "for k in range(e, len(coeffs) - e, e):",
      ["test_qproducts"]),
+    ("_by_symbol: Euler's and Cauchy's sign ratios swapped", "qproducts.py",
+     "unit *= sign if inverse else -sign", "unit *= -sign if inverse else sign",
+     ["test_qproducts"]),
+    ("_by_symbol: reciprocal without its second division", "qproducts.py",
+     "_over(term, sign, a + (n - 1) * m)", "pass", ["test_qproducts"]),
+    ("_by_symbol: reciprocal's exponent step m instead of 2m", "qproducts.py",
+     "(2 if inverse else 1) * n * m", "n * m", ["test_qproducts"]),
     ("_quotient: theta quotient drops its numerator", "qproducts.py",
      "return theta.invert() if num is None else pochhammer(num, order) / theta",
      "return theta.invert()", ["test_qproducts"]),

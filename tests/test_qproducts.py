@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from echopart import (
     zero,
 )
 from echopart import qproducts
+from echopart.cli import MAX_ORDER
 
 EULER = PochhammerSpec(((1, 1, 1),))  # (q;q)_inf
 
@@ -337,10 +340,10 @@ def test_evaluate_calls_the_builders_denominator_first(monkeypatch):
 @given(num=symbols(), den=symbols(), order=st.integers(min_value=0, max_value=300))
 @settings(max_examples=100, deadline=None)
 def test_dense_products_and_divisions_match_the_binomial_loop(num, den, order):
-    """Slice-pass products and binomial-by-binomial division against the
-    reference loop (then invert()).  The division by (1 -+ q^e) steps
-    through blocks of e coefficients, and at order 300 most exponents leave
-    a partial last block."""
+    """Dense products and divisions, each summed by Euler's or Cauchy's
+    series, against the reference loop (then invert()).  Each term's
+    division by (1 -+ q^e) steps through blocks of e coefficients, and at
+    order 300 most exponents leave a partial last block."""
     (num_text, num_factors), (den_text, den_factors) = num, den
     product = bruteforce.binomial_loop(num_factors, order)
     inverse = TruncatedSeries(tuple(bruteforce.binomial_loop(den_factors, order))).invert()
@@ -348,6 +351,62 @@ def test_dense_products_and_divisions_match_the_binomial_loop(num, den, order):
     assert list(evaluate(num_text, order).coeffs) == product
     assert evaluate("1/" + den_text, order) == inverse
     assert evaluate(f"{num_text}/{den_text}", order) == inverse * TruncatedSeries(tuple(product))
+
+
+@st.composite
+def orders_and_factors(draw):
+    """(order, factors) at an order up to 300: one to three factors, some
+    repeated, with offsets and steps up to order+5, so some lie past the
+    order; sometimes one shared step (a mixed-sign multi-parameter symbol)
+    or a == m with s = -1."""
+    order = draw(st.integers(min_value=0, max_value=300))
+    reach = st.integers(min_value=1, max_value=order + 5)
+    shared = draw(st.one_of(st.none(), reach))
+    factor = st.one_of(
+        st.tuples(st.sampled_from((1, -1)), reach, reach if shared is None else st.just(shared)),
+        reach.map(lambda m: (-1, m, m)),
+    )
+    return order, draw(st.composite(_up_to_three)(factor))
+
+
+@given(orders_and_factors())
+@settings(max_examples=100, deadline=None)
+def test_series_sums_match_the_references(case):
+    """Euler's series for products, Cauchy's for reciprocals, factor by factor."""
+    order, factors = case
+    product = [1] + [0] * order
+    reciprocal = [1] + [0] * order
+    for factor in factors:
+        qproducts._by_symbol(product, factor, inverse=False)
+        qproducts._by_symbol(reciprocal, factor, inverse=True)
+    assert product == bruteforce.binomial_loop(factors, order)
+    assert reciprocal == bruteforce.product_coeffs(factors, order, inverted=True)
+
+
+def _ceil_sqrt(x):
+    return math.isqrt(x - 1) + 1
+
+
+@pytest.mark.parametrize(
+    "text, per_symbol",
+    [("(-q;q)", _ceil_sqrt(2 * MAX_ORDER)),          # one per Euler term
+     ("1/(-q,-q^2;q)", 2 * _ceil_sqrt(MAX_ORDER))],  # two per Cauchy term
+)
+def test_dense_symbols_take_about_sqrt_n_divisions(monkeypatch, text, per_symbol):
+    """An op count, not a clock: at step m = 1, _over runs at most
+    ceil(sqrt(2N)) times for a product's symbol and 2 ceil(sqrt(N)) times
+    for a reciprocal's, both within 2 ceil(sqrt(2N/m)); dividing binomial
+    by binomial took N divisions per symbol."""
+    calls = []
+    original = qproducts._over
+
+    def counting(coeffs, sign, e):
+        calls.append(e)
+        original(coeffs, sign, e)
+
+    monkeypatch.setattr(qproducts, "_over", counting)
+    evaluate(text, MAX_ORDER)
+    assert len(calls) <= (text.count(",") + 1) * per_symbol
 
 
 @pytest.mark.parametrize(
