@@ -20,6 +20,10 @@ Cauchy's 1/(z;p) = sum_n z^n p^(n^2-n) / ((p;p)_n (z;p)_n) (Andrews, The
 Theory of Partitions, ch. 2).  About sqrt(2N/m) terms start at an
 exponent <= N, each the one before shifted and divided by one binomial
 (two for Cauchy's): O(N*sqrt(N/m)) per symbol, not O(N) per binomial.
+A division by (1 -+ q^e) runs in C-level slice passes, a running sum per
+residue class for a small e and block by block for a larger one, like
+the partition DP's; the two keep separate copies, because verify checks
+one route against the other and a shared fault would agree with itself.
 
 :func:`evaluate` reads the paper's notation, signed sums such as
 ``(q^4;q^4)/(q^2;q^2) - q^2/(1-q^4) - 1``, and expands them with these
@@ -37,6 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from operator import add, sub
 from typing import NamedTuple
 
@@ -134,10 +139,24 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
 
 def _over(coeffs: list[int], sign: int, e: int) -> None:
     """Divide coeffs in place by (1 - sign*q^e): c[k] += sign*c[k-e] for k
-    ascending, a block of e coefficients at a time from the block below."""
-    op = add if sign == 1 else sub
-    for k in range(e, len(coeffs), e):
-        coeffs[k : k + e] = map(op, coeffs[k : k + e], coeffs[k - e : k])
+    ascending, in C-level slice passes.
+
+    1/(1 + q^e) is first rewritten as (1 - q^e)/(1 - q^(2e)), one shifted
+    subtraction.  Then, as in partitions.count_upto, a small e (e*e <= the
+    length) takes one running sum per residue class mod e, and a larger e
+    one block of e coefficients at a time from the block below: min(e, N/e)
+    Python-level steps.  The DP keeps its own copy, so a fault here cannot
+    also hide in the route that verify checks this one against.
+    """
+    if sign == -1:  # 1/(1 + q^e) = (1 - q^e)/(1 - q^(2e))
+        coeffs[e:] = map(sub, coeffs[e:], coeffs)
+        e *= 2
+    if e * e <= len(coeffs):
+        for r in range(e):
+            coeffs[r::e] = accumulate(coeffs[r::e])
+    else:
+        for k in range(e, len(coeffs), e):
+            coeffs[k : k + e] = map(add, coeffs[k : k + e], coeffs[k - e : k])
 
 
 def _by_symbol(coeffs: list[int], factor: PochhammerFactor, inverse: bool) -> None:

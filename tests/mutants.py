@@ -60,15 +60,21 @@ MUTANTS = [
      "return TruncatedSeries(tuple(direct_counts_upto(family, order)))", ["test_families"]),
     ("main: off-by-one MAX_ORDER check", "cli.py",
      "if order > MAX_ORDER:", "if order >= MAX_ORDER:", ["test_cli"]),
+    ("cmd_expand: JSON pair separator dropped", "cli.py",
+     '",\\n".join(f"    [', '"\\n".join(f"    [', ["test_cli"]),
     ("pochhammer: theta = instead of += for collided exponents", "qproducts.py",
      "coeffs[e] += (-s) ** abs(k)", "coeffs[e] = (-s) ** abs(k)", ["test_qproducts"]),
     ("pochhammer: theta sign", "qproducts.py",
      "+= (-s) ** abs(k)", "+= s ** abs(k)", ["test_qproducts"]),
     ("_over: dense division ignores the sign", "qproducts.py",
-     "op = add if sign == 1 else sub", "op = add", ["test_qproducts"]),
+     "if sign == -1:", "if False:", ["test_qproducts"]),
     ("_over: dense division one block short", "qproducts.py",
      "for k in range(e, len(coeffs), e):", "for k in range(e, len(coeffs) - e, e):",
      ["test_qproducts"]),
+    ("_over: running sums skip residue 0", "qproducts.py",
+     "for r in range(e):", "for r in range(1, e):", ["test_qproducts"]),
+    ("_over: 1/(1 + q^e) rewritten without doubling e", "qproducts.py",
+     "e *= 2", "e *= 1", ["test_qproducts"]),
     ("_by_symbol: Euler's and Cauchy's sign ratios swapped", "qproducts.py",
      "unit *= sign if inverse else -sign", "unit *= -sign if inverse else sign",
      ["test_qproducts"]),

@@ -62,6 +62,32 @@ def test_expand_json(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "expression, order",
+    [
+        ("Odd_Distinct", 12),       # family token, mixed case with _
+        (" MOD 3 ", 12),            # family token with spaces, padded
+        ("odd - distinct", 12),
+        ("1/(q^2;q^2) - 1/(1-q^2)", 12),  # an expression with inner spaces
+        ("plain", 0),
+        ("(q;q)", 0),
+        ("(q;q)", 30),              # negative coefficients
+        ("-(q;q) + 1/(-q,-q^3;q)", 30),
+        ("mod6", 2000),
+        ("1/(-q,-q^3;q^2)", 2000),
+    ],
+)
+def test_expand_json_is_the_encoders_text(capsys, expression, order):
+    """expand writes its JSON itself; it must be json.dumps(..., indent=2)'s
+    text byte for byte, with the coefficients read from the csv output."""
+    code, out, _ = run(capsys, "expand", expression, str(order), "--format", "csv")
+    assert code == 0
+    rows = [list(map(int, line.split(","))) for line in out.splitlines()[1:]]
+    payload = {"name": expression.strip(), "order": order, "coefficients": rows}
+    expected = json.dumps(payload, indent=2) + "\n"
+    assert run(capsys, "expand", expression, str(order), "--format", "json") == (0, expected, "")
+
+
 def test_expand_qexpressions(capsys):
     code, out, _ = run(capsys, "expand", "1/(q;q)", "6")
     assert code == 0

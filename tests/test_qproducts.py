@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
@@ -342,8 +342,9 @@ def test_evaluate_calls_the_builders_denominator_first(monkeypatch):
 def test_dense_products_and_divisions_match_the_binomial_loop(num, den, order):
     """Dense products and divisions, each summed by Euler's or Cauchy's
     series, against the reference loop (then invert()).  Each term's
-    division by (1 -+ q^e) steps through blocks of e coefficients, and at
-    order 300 most exponents leave a partial last block."""
+    division by (1 -+ q^e) takes running sums up to e*e = its length and
+    blocks of e coefficients above, and at order 300 most block exponents
+    leave a partial last block."""
     (num_text, num_factors), (den_text, den_factors) = num, den
     product = bruteforce.binomial_loop(num_factors, order)
     inverse = TruncatedSeries(tuple(bruteforce.binomial_loop(den_factors, order))).invert()
@@ -381,6 +382,33 @@ def test_series_sums_match_the_references(case):
         qproducts._by_symbol(reciprocal, factor, inverse=True)
     assert product == bruteforce.binomial_loop(factors, order)
     assert reciprocal == bruteforce.product_coeffs(factors, order, inverted=True)
+
+
+def _big(k):
+    """A signed coefficient of about 80 bits, different at every index."""
+    return (-1) ** k * (3 ** 50 + 7 * k)
+
+
+@given(coeffs=st.integers(min_value=0, max_value=300).flatmap(
+    lambda size: st.lists(st.integers(min_value=-(2 ** 80), max_value=2 ** 80),
+                          min_size=size, max_size=size)))
+# lengths e*e - 1, e*e and e*e + 1 at e = 10, where the running sums give way
+# to blocks (for sign -1 the rewrite to 2e = 10 starts at e = 5)
+@example(coeffs=[_big(k) for k in range(99)])
+@example(coeffs=[_big(k) for k in range(100)])
+@example(coeffs=[_big(k) for k in range(101)])
+@settings(max_examples=40, deadline=None)
+def test_over_matches_the_naive_recurrence(coeffs):
+    """_over(c, sign, e) against c[k] += sign*c[k-e], k ascending, for every
+    e in 1..len+1 and both signs: running sums for e*e <= len, blocks above."""
+    for e in range(1, len(coeffs) + 2):
+        for sign in (1, -1):
+            expected = list(coeffs)
+            for k in range(e, len(expected)):
+                expected[k] += sign * expected[k - e]
+            divided = list(coeffs)
+            qproducts._over(divided, sign, e)
+            assert divided == expected, (sign, e)
 
 
 def _ceil_sqrt(x):
