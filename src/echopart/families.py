@@ -69,23 +69,15 @@ CONSTRAINTS: Mapping[Family, Constraint] = {
     Family.MOD6: partitions.MOD6,
 }
 
-# Each closed form is the paper's formula with its product rewritten as a
-# quotient of theta series, which qproducts expands sparsely.  The comment
-# gives the paper's formula and the identity used.  A trailing - 1 cancels
-# the product's constant term, so every constant coefficient is 0.
+# The paper's closed forms.  The combs remove the single-part partitions,
+# and the - 1 removes the product's constant term.
 RECIPES: Mapping[Family, str] = {
-    # 1/(q^2;q^2) - 1/(1-q^2), whose (q^2;q^2) is Euler's product already
     Family.PLAIN: "1/(q^2;q^2) - 1/(1-q^2)",
-    # (-q^2;q^2) - 1/(1-q^2), by (1 + x) = (1 - x^2)/(1 - x)
-    Family.DISTINCT: "(q^4;q^4)/(q^2;q^2) - 1/(1-q^2)",
-    # 1/(q^2;q^4) - q^2/(1-q^4) - 1, by (q^2;q^2) = (q^2;q^4)(q^4;q^4)
-    Family.ODD: "(q^4;q^4)/(q^2;q^2) - q^2/(1-q^4) - 1",
-    # (-q^2;q^4) - q^2/(1-q^4) - 1; (-q^2;q^4) = (-q^2,-q^6;q^8), times (q^8;q^8)/itself
-    Family.ODD_DISTINCT: "(-q^2,-q^6,q^8;q^8)/(q^8;q^8) - q^2/(1-q^4) - 1",
-    # (-q^2,-q^4;q^6) - 1 - q^2/(1-q^2) + q^6/(1-q^6), times (q^6;q^6)/itself
-    Family.MOD3: "(-q^2,-q^4,q^6;q^6)/(q^6;q^6) - q^2/(1-q^2) + q^6/(1-q^6) - 1",
-    # 1/(q^2,q^10;q^12) - 1 - q^2/(1-q^12) - q^10/(1-q^12), times (q^12;q^12)/itself
-    Family.MOD6: "(q^12;q^12)/(q^2,q^10,q^12;q^12) - q^2/(1-q^12) - q^10/(1-q^12) - 1",
+    Family.DISTINCT: "(-q^2;q^2) - 1/(1-q^2)",
+    Family.ODD: "1/(q^2;q^4) - q^2/(1-q^4) - 1",
+    Family.ODD_DISTINCT: "(-q^2;q^4) - q^2/(1-q^4) - 1",
+    Family.MOD3: "(-q^2,-q^4;q^6) - q^2/(1-q^2) + q^6/(1-q^6) - 1",
+    Family.MOD6: "1/(q^2,q^10;q^12) - q^2/(1-q^12) - q^10/(1-q^12) - 1",
 }
 
 

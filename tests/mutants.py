@@ -3,8 +3,9 @@
 Run from anywhere with ``python3 tests/mutants.py``.  Each mutant copies
 ``src/`` to a temporary directory, replaces one exact snippet in one
 source file, and runs ``pytest -x -q`` on the named test modules with the
-copy first on the import path.  A mutant whose tests pass is a survivor.
-A snippet that does not occur exactly once is stale, so an edit to the
+copy first on the import path.  A mutant whose tests pass is a survivor;
+one whose tests run past ``TIMEOUT_S`` seconds counts as killed.  A
+snippet that does not occur exactly once is stale, so an edit to the
 source cannot quietly retire a mutant.  Either exits 1.
 
 The file name does not start with ``test_``, so pytest never collects it.
@@ -22,6 +23,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# far above the slowest mutant's run, about 15 s
+TIMEOUT_S = 300
 
 # (what the mutant breaks, file under src/echopart, snippet, replacement, test modules)
 MUTANTS = [
@@ -55,6 +58,10 @@ MUTANTS = [
      ["test_seqcompare", "test_cli"]),
     ("from_token: no _ to - rewrite", "families.py",
      'text.strip().lower().replace("_", "-")', "text.strip().lower()", ["test_families"]),
+    ("RECIPES: odd's step 2 instead of 4", "families.py",
+     "1/(q^2;q^4)", "1/(q^2;q^2)", ["test_families"]),
+    ("RECIPES: mod3's second parameter without its sign", "families.py",
+     "-q^4;q^6", "q^4;q^6", ["test_families"]),
     ("genfun_series: a recipe that calls the DP", "families.py",
      "return evaluate(RECIPES[family], order)",
      "return TruncatedSeries(tuple(direct_counts_upto(family, order)))", ["test_families"]),
@@ -108,14 +115,19 @@ def run(name: str, file: str, snippet: str, replacement: str, modules: list[str]
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         (src / "echopart" / file).write_text(source.replace(snippet, replacement), encoding="utf-8")
         path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             *(f"tests/{module}.py" for module in modules)],
-            cwd=ROOT,
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 *(f"tests/{module}.py" for module in modules)],
+                cwd=ROOT,
+                env={**os.environ, "PYTHONPATH": path},
+                capture_output=True,
+                text=True,
+                timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            # a mutant that loops is observably wrong, and waiting would hang the run
+            return "killed"
     # pytest exits 1 when a test failed; any other code is no verdict
     if proc.returncode == 1:
         return "killed"

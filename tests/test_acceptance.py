@@ -247,7 +247,7 @@ def test_criterion_09_bfile_round_trip(tmp_path):
 
 def test_criterion_10_closed_form_matches_direct_to_2000():
     """Closed-form coefficients equal direct counts for 0 <= n <= 2000,
-    all six families: the theta-quotient expansion at a higher order."""
+    all six families: the paper's products at a higher order."""
     start = time.perf_counter()
     reports = [verify(family, 2000) for family in Family]
     elapsed = time.perf_counter() - start

@@ -26,7 +26,6 @@ from echopart import (
 )
 from echopart import families as families_module
 from echopart import partitions as partitions_module
-from echopart import qproducts
 from echopart.families import CONSTRAINTS
 
 # values at n = 0, 2, 4, ..., 30; odd n are all zero
@@ -246,7 +245,7 @@ def test_records_are_built_on_first_read_only(monkeypatch):
 
 
 # The paper's product for each family, as (factors, inverted) for
-# bruteforce.product_coeffs; the recipes store it as a theta quotient.
+# bruteforce.product_coeffs; it is each recipe's first term.
 PAPER_PRODUCTS = {
     Family.PLAIN: ([(1, 2, 2)], True),                     # 1/(q^2;q^2)
     Family.DISTINCT: ([(-1, 2, 2)], False),                # (-q^2;q^2)
@@ -261,10 +260,10 @@ PAPER_PRODUCTS = {
 @settings(max_examples=60)
 def test_recipe_quotient_is_the_paper_product(family, order):
     # the first term is the product; the combs and the constant follow it
-    quotient = re.split(r" [-+] ", families_module.RECIPES[family])[0]
+    product = re.split(r" [-+] ", families_module.RECIPES[family])[0]
     factors, inverted = PAPER_PRODUCTS[family]
     expected = bruteforce.product_coeffs(factors, order, inverted=inverted)
-    assert list(evaluate(quotient, order).coeffs) == expected
+    assert list(evaluate(product, order).coeffs) == expected
 
 
 def test_closed_form_route_never_counts_partitions(monkeypatch):
@@ -281,8 +280,8 @@ def test_closed_form_route_never_counts_partitions(monkeypatch):
 
 
 def test_recipe_quotients_divide_once_and_never_multiply(monkeypatch):
-    """Each recipe's quotient is one division; only plain's reciprocal
-    goes through invert()."""
+    """No recipe multiplies two series; only plain's reciprocal goes
+    through invert()."""
     inverted = []
     original = TruncatedSeries.invert
 
@@ -300,18 +299,23 @@ def test_recipe_quotients_divide_once_and_never_multiply(monkeypatch):
     assert inverted == [60]
 
 
-def test_recipes_expand_only_theta_products(monkeypatch):
-    """Every product a recipe expands stays on pochhammer's sparse path."""
-    specs = []
-    original = qproducts.pochhammer
+# Each recipe's product as the quotient of theta series it equals, which
+# qproducts expands on its sparse path: (1 + x) = (1 - x^2)/(1 - x),
+# (q^2;q^2) = (q^2;q^4)(q^4;q^4), and the (q^m;q^m)/(q^m;q^m) factors
+# complete (-q^2,-q^6;q^8), (-q^2,-q^4;q^6) and (q^2,q^10;q^12) to
+# triple products.
+THETA_FORMS = {
+    Family.PLAIN: "1/(q^2;q^2) - 1/(1-q^2)",
+    Family.DISTINCT: "(q^4;q^4)/(q^2;q^2) - 1/(1-q^2)",
+    Family.ODD: "(q^4;q^4)/(q^2;q^2) - q^2/(1-q^4) - 1",
+    Family.ODD_DISTINCT: "(-q^2,-q^6,q^8;q^8)/(q^8;q^8) - q^2/(1-q^4) - 1",
+    Family.MOD3: "(-q^2,-q^4,q^6;q^6)/(q^6;q^6) - q^2/(1-q^2) + q^6/(1-q^6) - 1",
+    Family.MOD6: "(q^12;q^12)/(q^2,q^10,q^12;q^12) - q^2/(1-q^12) - q^10/(1-q^12) - 1",
+}
 
-    def recording(spec, order):
-        specs.append(spec)
-        return original(spec, order)
 
-    monkeypatch.setattr(qproducts, "pochhammer", recording)
-    for family in Family:
-        genfun_series(family, 50)
-    # plain is one reciprocal, every other family one quotient
-    assert len(specs) == 2 * len(Family) - 1
-    assert all(qproducts._theta_shape(spec.factors) is not None for spec in specs)
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_recipes_equal_their_theta_quotients(family):
+    """The dense Euler/Cauchy route and the theta route agree on every
+    recipe, at twice criterion 10's order."""
+    assert genfun_series(family, 4000) == evaluate(THETA_FORMS[family], 4000)
