@@ -35,8 +35,9 @@ print("(-q;q)_inf    =", pochhammer(distinct, N))
 two_track = PochhammerSpec(((-1, 2, 6), (-1, 4, 6)))
 print("(-q^2,-q^4;q^6)_inf =", pochhammer(two_track, N))
 
-# A dense reciprocal: evaluate divides 1 by each binomial (1 + q^e) in turn
-# instead of expanding the product and inverting it.
+# A dense reciprocal: evaluate divides 1 by one symbol at a time, each by
+# Cauchy's series 1/(z;p) = sum z^n p^(n^2-n) / ((p;p)_n (z;p)_n), instead of
+# expanding the product and inverting it.
 print("1/(-q,-q^2;q)_inf =", evaluate("1/(-q,-q^2;q)", N))
 
 # Jacobi's triple product: (z, q^m/z, q^m; q^m) = sum over all integers k of

@@ -20,6 +20,11 @@ Every family's counting sequence is computed two independent ways:
 
 from __future__ import annotations
 
+__all__ = [
+    "CoefficientRecord", "Family", "VerificationReport", "direct_count",
+    "direct_counts_upto", "genfun_series", "list_partitions", "verify",
+]
+
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property

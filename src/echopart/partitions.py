@@ -8,6 +8,11 @@ empty tuple is the one partition of 0.
 
 from __future__ import annotations
 
+__all__ = [
+    "DEFAULT_ENUMERATION_CAP", "DISTINCT", "MOD3_DISTINCT", "MOD6", "ODD", "ODD_DISTINCT",
+    "UNRESTRICTED", "Constraint", "Partition", "count", "count_upto", "enumerate_partitions",
+]
+
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add

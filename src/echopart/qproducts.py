@@ -38,6 +38,10 @@ floating point is involved anywhere.
 
 from __future__ import annotations
 
+__all__ = [
+    "GeometricSpec", "PochhammerFactor", "PochhammerSpec", "evaluate", "geometric", "pochhammer",
+]
+
 import re
 from dataclasses import dataclass
 from functools import partial

@@ -17,6 +17,12 @@ lists match H3 in full: the nonzero coefficients with n = 0 counted as 1.
 
 from __future__ import annotations
 
+__all__ = [
+    "PUBLISHED_MOD3_TERMS", "PUBLISHED_MOD6_TERMS", "BFile", "HypothesisResult",
+    "SequenceComparison", "TermRecord", "compare_bfile", "compare_published", "parse_bfile",
+    "read_bfile", "remark_comparisons", "render_bfile", "write_bfile",
+]
+
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +53,7 @@ class BFile:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValueError("a b-file needs at least one term")
 

@@ -12,6 +12,8 @@ freely across threads.
 
 from __future__ import annotations
 
+__all__ = ["TruncatedSeries", "monomial", "one", "zero"]
+
 from dataclasses import dataclass
 from operator import add
 
@@ -22,12 +24,13 @@ class TruncatedSeries:
 
     ``coeffs[k]`` is the coefficient of q^k; the order N is
     ``len(coeffs) - 1``.  Construct via :func:`monomial`, :func:`one`,
-    :func:`zero` or by passing an explicit coefficient tuple.
+    :func:`zero` or by passing the coefficients, kept as a tuple.
     """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if len(self.coeffs) == 0:
             raise ValueError("a series needs at least the constant coefficient")
 
@@ -101,6 +104,9 @@ class TruncatedSeries:
         O(order * nonzero terms of other).
         """
         return self._coerced(other)._divided_into(list(self.coeffs))
+
+    def __rtruediv__(self, other: int) -> TruncatedSeries:
+        return self._coerced(other) / self
 
     def invert(self) -> TruncatedSeries:
         """Multiplicative inverse modulo q^(order+1): 1/self."""

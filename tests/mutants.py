@@ -102,6 +102,12 @@ MUTANTS = [
     ("__mul__: each pass one place late", "series.py",
      "out[i:] = map(add, out[i:],", "out[i + 1:] = map(add, out[i + 1:],",
      ["test_series", "test_series_properties"]),
+    ("TruncatedSeries: list coefficients kept as a list", "series.py",
+     'object.__setattr__(self, "coeffs", tuple(self.coeffs))', "pass", ["test_series"]),
+    ("BFile: list values kept as a list", "seqcompare.py",
+     'object.__setattr__(self, "values", tuple(self.values))', "pass", ["test_seqcompare"]),
+    ("families.__all__: verify not declared", "families.py",
+     '"verify",', "", ["test_package"]),
 ]
 
 

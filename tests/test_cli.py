@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -458,15 +459,27 @@ def test_genfun_cli_consistency(capsys):
 
 
 def test_module_entry_point_matches_main(capsys):
-    """``python -m echopart.cli`` exits and prints as cli.main does."""
+    """``python -m echopart`` and ``python -m echopart.cli`` exit and print as
+    cli.main does."""
     src = str(Path(echopart.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     argv = ["verify", "plain", "10"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "echopart.cli", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
     code, out, _ = run(capsys, *argv)
-    assert (proc.returncode, proc.stdout) == (code, out)
+    for module in ("echopart", "echopart.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (proc.returncode, proc.stdout) == (code, out), module
+
+
+def test_package_main_runs_in_process(capsys, monkeypatch):
+    """The same ``python -m echopart`` run in this process, where coverage sees it."""
+    argv = ["verify", "plain", "10"]
+    monkeypatch.setattr(sys, "argv", ["echopart", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("echopart", run_name="__main__")
+    out = capsys.readouterr().out
+    assert (exit_info.value.code, out) == run(capsys, *argv)[:2]

@@ -73,6 +73,12 @@ def test_parse_rejects_empty_input():
         BFile(offset=0, values=())
 
 
+def test_values_given_as_a_list_are_the_same_value():
+    b = BFile(0, [1, 2])
+    assert b == BFile(0, (1, 2))
+    assert hash(b) == hash(BFile(0, (1, 2)))
+
+
 def test_file_round_trip(tmp_path):
     b = BFile(offset=5, values=(1, -2, 3))
     path = tmp_path / "b.txt"

@@ -131,6 +131,23 @@ def test_division_requires_unit_constant():
         a / 2
 
 
+def test_constant_divided_by_series():
+    s = TruncatedSeries((1, 3, -2, 7))
+    assert 1 / s == s.invert()
+    assert 3 / s == 3 * s.invert()
+    message = r"^constant term must be \+1 or -1 to invert over the integers, got 2$"
+    with pytest.raises(ValueError, match=message):
+        1 / TruncatedSeries((2, 1, 0))
+    with pytest.raises(TypeError):
+        "x" / s
+
+
+def test_coefficients_given_as_a_list_are_the_same_value():
+    s = TruncatedSeries([1, 2])
+    assert s == TruncatedSeries((1, 2))
+    assert hash(s) == hash(TruncatedSeries((1, 2)))
+
+
 def test_division_order_mismatch_is_an_error():
     with pytest.raises(ValueError, match="^order mismatch: 2 vs 1$"):
         TruncatedSeries((1, 2, 3)) / TruncatedSeries((1, 2))
