@@ -197,18 +197,16 @@ def cmd_remark_check(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_bfile_export(args: argparse.Namespace) -> tuple[str, int]:
     family = Family.from_token(args.family)
     coefficients = families.direct_counts_upto(family, args.order)
+    offset, values = 0, coefficients  # mode "all"
     if args.mode == "even":
-        bfile = seqcompare.BFile(offset=0, values=tuple(coefficients[::2]))
-    elif args.mode == "all":
-        bfile = seqcompare.BFile(offset=0, values=tuple(coefficients))
-    else:  # nonzero
-        values = tuple(c for c in coefficients if c != 0)
+        values = coefficients[::2]
+    elif args.mode == "nonzero":
+        offset, values = 1, tuple(c for c in coefficients if c != 0)
         if not values:
             raise ValueError(
                 f"no nonzero coefficients for {family.value} at order {args.order}"
             )
-        bfile = seqcompare.BFile(offset=1, values=values)
-    return seqcompare.render_bfile(bfile), 0
+    return seqcompare.render_bfile(seqcompare.BFile(offset=offset, values=values)), 0
 
 
 def cmd_bfile_compare(args: argparse.Namespace) -> tuple[str, int]:

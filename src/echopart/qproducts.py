@@ -93,21 +93,18 @@ class GeometricSpec:
 def _theta_shape(factors: tuple[PochhammerFactor, ...]) -> tuple[int, int, int] | None:
     """(s, a, m) when the factors multiply to (s*q^a, s*q^(m-a), q^m; q^m), else None.
 
-    Euler's (q^m;q^m) is the case (q^m, q^(2m), q^(3m); q^(3m)).
+    Euler's (q^m;q^m) is the case (q^m, q^(2m), q^(3m); q^(3m)).  a is the
+    smaller offset; m-a gives pochhammer the same series, by the product's symmetry.
     """
     if len(factors) == 1:
         sign, offset, step = factors[0]
         return (1, step, 3 * step) if sign == 1 and offset == step else None
     if len(factors) != 3:
         return None
-    m = factors[0].step
-    rest = list(factors)
-    if any(f.step != m for f in rest) or (1, m, m) not in rest:
-        return None
-    rest.remove((1, m, m))
-    (s1, a1, _), (s2, a2, _) = rest
-    # offsets are >= 1, so a1 + a2 == m puts both in [1, m-1]
-    return (s1, a1, m) if s1 == s2 and a1 + a2 == m else None
+    (s1, a1, m1), (s2, a2, m2), (s3, a3, m) = sorted(factors)
+    # offsets are >= 1, so a1 + a2 == m puts both below m and q^m sorts last
+    theta = (s3, a3) == (1, m) and m1 == m2 == m and s1 == s2 and a1 + a2 == m
+    return (s1, a1, m) if theta else None
 
 
 def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:

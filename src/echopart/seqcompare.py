@@ -1,11 +1,13 @@
 """OEIS-style b-files and alignment-hypothesis sequence comparison.
 
 A b-file is the OEIS per-sequence term listing: one "index value" pair per
-line, indices consecutive.  Reading accepts LF or CRLF, '#' comment lines,
-any run of spaces or tabs between the two numbers and around them;
-read_bfile also drops a leading UTF-8 byte-order mark.  Writing emits plain
-"index value\n" lines, so a read/write round trip is lossless modulo
-comment stripping and whitespace and newline normalization.
+line, indices consecutive.  Reading ends a line wherever str.splitlines()
+does: at LF, CRLF or a lone CR, but also at a form feed, a vertical tab, the
+file/group/record separators and the Unicode line breaks.  It skips '#'
+comment lines and takes any run of spaces or tabs between the two numbers
+and around them; read_bfile also drops a leading UTF-8 byte-order mark.
+Writing emits plain "index value\n" lines, so a read/write round trip is
+lossless modulo comment stripping and whitespace and newline normalization.
 
 Published term lists for these families do not always state which n each
 term belongs to.  Comparisons therefore never assert the reference values

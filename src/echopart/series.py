@@ -136,16 +136,13 @@ class TruncatedSeries:
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            if k == 0:
-                terms.append(str(c))
+            mag = "" if abs(c) == 1 and k > 0 else str(abs(c))
+            var = "" if k == 0 else "q" if k == 1 else f"q^{k}"
+            mono = f"{mag}*{var}" if mag and var else mag + var
+            if not terms:
+                terms.append(f"-{mono}" if c < 0 else mono)
             else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                var = "q" if k == 1 else f"q^{k}"
-                if not terms:
-                    sign = "-" if c < 0 else ""
-                    terms.append(f"{sign}{mag}{var}")
-                else:
-                    terms.append(f"{'-' if c < 0 else '+'} {mag}{var}")
+                terms.append(f"{'-' if c < 0 else '+'} {mono}")
         body = " ".join(terms) if terms else "0"
         return f"{body} + O(q^{self.order + 1})"
 

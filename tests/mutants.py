@@ -69,6 +69,8 @@ MUTANTS = [
      "if order > MAX_ORDER:", "if order >= MAX_ORDER:", ["test_cli"]),
     ("cmd_expand: JSON pair separator dropped", "cli.py",
      '",\\n".join(f"    [', '"\\n".join(f"    [', ["test_cli"]),
+    ("cmd_bfile_export: nonzero mode written at offset 0", "cli.py",
+     "offset, values = 1, tuple(", "offset, values = 0, tuple(", ["test_cli"]),
     ("pochhammer: theta = instead of += for collided exponents", "qproducts.py",
      "coeffs[e] += (-s) ** abs(k)", "coeffs[e] = (-s) ** abs(k)", ["test_qproducts"]),
     ("pochhammer: theta sign", "qproducts.py",
@@ -89,6 +91,8 @@ MUTANTS = [
      "_over(term, sign, a + (n - 1) * m)", "pass", ["test_qproducts"]),
     ("_by_symbol: reciprocal's exponent step m instead of 2m", "qproducts.py",
      "(2 if inverse else 1) * n * m", "n * m", ["test_qproducts"]),
+    ("_theta_shape: the two offsets' signs not compared", "qproducts.py",
+     "m1 == m2 == m and s1 == s2 and", "m1 == m2 == m and", ["test_qproducts"]),
     ("_quotient: theta quotient drops its numerator", "qproducts.py",
      "return theta.invert() if num is None else pochhammer(num, order) / theta",
      "return theta.invert()", ["test_qproducts"]),
@@ -102,6 +106,9 @@ MUTANTS = [
     ("__mul__: each pass one place late", "series.py",
      "out[i:] = map(add, out[i:],", "out[i + 1:] = map(add, out[i + 1:],",
      ["test_series", "test_series_properties"]),
+    ("__str__: a negative first term spaced like a later one", "series.py",
+     'terms.append(f"-{mono}" if c < 0 else mono)', 'terms.append(f"- {mono}" if c < 0 else mono)',
+     ["test_series"]),
     ("TruncatedSeries: list coefficients kept as a list", "series.py",
      'object.__setattr__(self, "coeffs", tuple(self.coeffs))', "pass", ["test_series"]),
     ("BFile: list values kept as a list", "seqcompare.py",

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -171,7 +172,10 @@ def _theta_exponents(factors, limit):
 
 @pytest.mark.parametrize("factors", THETA_SPECS)
 def test_theta_shapes_at_edge_orders(factors):
-    """Orders 0, 1, 2 and orders landing exactly on a nonzero term."""
+    """Orders 0, 1, 2 and orders landing exactly on a nonzero term; every
+    ordering of the factors is the same theta shape."""
+    shapes = {qproducts._theta_shape(PochhammerSpec(p).factors) for p in permutations(factors)}
+    assert len(shapes) == 1 and None not in shapes
     for order in sorted({0, 1, 2, *_theta_exponents(factors, 60)}):
         series = pochhammer(PochhammerSpec(factors), order)
         assert list(series.coeffs) == bruteforce.binomial_loop(factors, order), order
@@ -213,9 +217,12 @@ def test_division_matches_inverse_times_and_the_reference(pair):
         ((1, 1, 4), (1, 2, 4), (1, 4, 4)),   # offsets do not sum to m
         ((1, 1, 3), (1, 2, 6), (1, 3, 3)),   # mixed steps
         ((1, 3, 3), (1, 3, 3), (1, 3, 3)),
+        ((1, 2, 2), (1, 1, 2), (1, 2, 2)),   # two q^m factors
     ],
 )
 def test_near_theta_shapes_expand_by_binomials(factors):
+    for p in permutations(factors):
+        assert qproducts._theta_shape(PochhammerSpec(p).factors) is None
     assert list(pochhammer(PochhammerSpec(factors), 40).coeffs) == (
         bruteforce.product_coeffs(factors, 40)
     )

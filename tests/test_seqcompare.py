@@ -45,6 +45,11 @@ def test_parse_accepts_crlf():
     assert parse_bfile("1 2\r\n2 3\r\n") == parse_bfile("1 2\n2 3\n")
 
 
+def test_parse_accepts_lone_cr():
+    # classic Mac OS line ends; str.splitlines() ends a line at a lone CR too
+    assert parse_bfile("1 2\r2 3\r") == parse_bfile("1 2\n2 3\n")
+
+
 def test_parse_rejects_malformed_with_line_number():
     with pytest.raises(ValueError, match="line 2"):
         parse_bfile("1 2\n1  2\n")

@@ -177,6 +177,9 @@ def test_str_rendering():
     assert str(TruncatedSeries((1, -1, 2))) == "1 - q + 2*q^2 + O(q^3)"
     assert str(TruncatedSeries((0, 1))) == "q + O(q^2)"
     assert str(TruncatedSeries((0, -3, 0, 1))) == "-3*q + q^3 + O(q^4)"
+    assert str(TruncatedSeries((-3, 1))) == "-3 + q + O(q^2)"
+    assert str(TruncatedSeries((5,))) == "5 + O(q^1)"
+    assert str(TruncatedSeries((-1,))) == "-1 + O(q^1)"
 
 
 def test_value_semantics():
