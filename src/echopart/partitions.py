@@ -81,32 +81,40 @@ MOD6 = Constraint(modulus=6, residues=frozenset({1, 5}))
 def count_upto(limit: int, constraint: Constraint) -> list[int]:
     """Counts of constrained partitions of 0..limit, one DP pass.
 
-    Each allowed part value is processed once, in C-level slice passes:
-    - distinct: one shifted addition over the whole list, so each part
-      is used at most once;
+    Each allowed part value is added once, largest first, in C-level
+    slice passes.  When part p comes only larger parts have been added,
+    so cells 1..p are still 0, and below 2p adding p only sets
+    counts[p] = 1:
+    - distinct: one shifted addition from 2p on, then counts[p] = 1, so
+      each part is used at most once;
     - repeated, part*part <= limit: a running sum down each residue
       class mod part;
-    - repeated, larger part: block by block, each block of ``part`` cells
-      adding the already-updated block before it.
+    - repeated, larger part: counts[p] = 1, then block by block from 2p,
+      each block of ``part`` cells adding the already-updated block
+      before it.
     The split keeps the Python-level steps per part at min(part,
-    limit/part).  Big-integer additions, not the interpreter, bound the
-    cost.  O(limit) memory.
+    limit/part), and a part above limit/2 costs a single store.
+    Big-integer additions, not the interpreter, bound the cost, and the
+    cells stay small until the small parts come last.  O(limit) memory.
     """
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     counts = [0] * (limit + 1)
     counts[0] = 1
-    for part in range(1, limit + 1):
+    for part in range(limit, 0, -1):
         if not constraint.allows(part):
             continue
         if constraint.distinct:
-            # the right-hand side is built in full first, so every addend is old
-            counts[part:] = map(add, counts[part:], counts)
+            # the right-hand side is built in full first, so every addend is
+            # old; setting counts[part] first would use part twice
+            counts[2 * part :] = map(add, counts[2 * part :], counts[part:])
+            counts[part] = 1
         elif part * part <= limit:
             for r in range(part):
                 counts[r::part] = accumulate(counts[r::part])
         else:
-            for s in range(part, limit + 1, part):
+            counts[part] = 1
+            for s in range(2 * part, limit + 1, part):
                 counts[s : s + part] = map(
                     add, counts[s : s + part], counts[s - part : s]
                 )

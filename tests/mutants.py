@@ -29,15 +29,26 @@ TIMEOUT_S = 300
 # (what the mutant breaks, file under src/echopart, snippet, replacement, test modules)
 MUTANTS = [
     ("count_upto: block range one short", "partitions.py",
-     "for s in range(part, limit + 1, part):",
-     "for s in range(part, limit + 1 - part, part):", ["test_partitions"]),
+     "for s in range(2 * part, limit + 1, part):",
+     "for s in range(2 * part, limit + 1 - part, part):", ["test_partitions"]),
+    ("count_upto: blocks starting at part, adding it twice", "partitions.py",
+     "for s in range(2 * part, limit + 1, part):",
+     "for s in range(part, limit + 1, part):", ["test_partitions"]),
+    ("count_upto: block branch without its single-part cell", "partitions.py",
+     "counts[part] = 1\n            for s in", "for s in", ["test_partitions"]),
     ("count_upto: residue class skipped", "partitions.py",
      "for r in range(part):", "for r in range(1, part):", ["test_partitions"]),
     ("count_upto: distinct pass shifted", "partitions.py",
-     "map(add, counts[part:], counts)", "map(add, counts[part:], counts[1:])",
+     "map(add, counts[2 * part :], counts[part:])",
+     "map(add, counts[2 * part :], counts[part + 1 :])", ["test_partitions"]),
+    ("count_upto: distinct single-part cell set before the pass", "partitions.py",
+     "counts[2 * part :] = map(add, counts[2 * part :], counts[part:])\n"
+     "            counts[part] = 1",
+     "counts[part] = 1\n"
+     "            counts[2 * part :] = map(add, counts[2 * part :], counts[part:])",
      ["test_partitions"]),
-    ("count_upto: DP starting at part 2", "partitions.py",
-     "for part in range(1, limit + 1):", "for part in range(2, limit + 1):",
+    ("count_upto: DP stopping before part 1", "partitions.py",
+     "for part in range(limit, 0, -1):", "for part in range(limit, 1, -1):",
      ["test_partitions"]),
     ("enumerate_partitions: descent stopping at 2", "partitions.py",
      "range(min(remaining, max_allowed), 0, -1)", "range(min(remaining, max_allowed), 1, -1)",

@@ -1,4 +1,5 @@
 import ast
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,36 @@ def test_count_upto_at_the_residue_to_block_boundary(p, distinct):
             Constraint(distinct=distinct, modulus=p, residues={0}),
         ):
             assert count_upto(limit, constraint) == bruteforce.dp_loop(limit, constraint)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 12])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_count_upto_where_the_first_pass_starts(p, distinct):
+    """Parts are added largest first, so adding p sets counts[p] = 1 and
+    its pass starts at 2p; the limits put 2p just past, at and just inside
+    the end, and p >= 3 takes the block branch when not distinct."""
+    for limit in (2 * p - 1, 2 * p, 2 * p + 1):
+        for constraint in (
+            Constraint(distinct=distinct, min_part=p),
+            Constraint(distinct=distinct, max_part=max(1, p // 4)),
+            Constraint(distinct=distinct, modulus=p, residues={0}),
+        ):
+            assert count_upto(limit, constraint) == bruteforce.dp_loop(limit, constraint)
+
+
+def test_count_upto_matches_dp_loop_on_every_small_constraint():
+    """Every residue set mod 1..6, distinct or not, under small part bounds,
+    at each limit 0..30, since the branch taken per part depends on the
+    limit; dp_loop's counts to 30 start with those to every smaller limit."""
+    for modulus in range(1, 7):
+        for mask, distinct, min_part, max_part in product(
+            range(1, 2**modulus), (False, True), (1, 2, 3), (None, 2, 5, 11)
+        ):
+            residues = {r for r in range(modulus) if mask >> r & 1}
+            constraint = Constraint(distinct, modulus, residues, min_part, max_part)
+            expected = bruteforce.dp_loop(30, constraint)
+            for limit in range(31):
+                assert count_upto(limit, constraint) == expected[: limit + 1]
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
