@@ -156,18 +156,6 @@ def _first_divergence(hyp: seqcompare.HypothesisResult) -> list[str]:
     ]
 
 
-def _full_coverage_order(order: int) -> int:
-    """The least order at which every remark hypothesis covers all its terms."""
-    probe = max(order, 1)
-    while True:
-        probe *= 2
-        hypotheses = [
-            h for c in seqcompare.remark_comparisons(probe) for h in c.hypotheses
-        ]
-        if all(h.covered == h.total_terms for h in hypotheses):
-            return max(h.records[-1].n for h in hypotheses)
-
-
 def cmd_remark_check(args: argparse.Namespace) -> tuple[str, int]:
     comparisons = seqcompare.remark_comparisons(args.order)
     for comparison in comparisons:
@@ -177,7 +165,7 @@ def cmd_remark_check(args: argparse.Namespace) -> tuple[str, int]:
                     f"order {args.order} covers only {hyp.covered} of the "
                     f"{hyp.total_terms} terms of {comparison.name} under "
                     f"{hyp.label}; every term is covered from order "
-                    f"{_full_coverage_order(args.order)} on"
+                    f"{seqcompare.FULL_COVERAGE_ORDER} on"
                 )
     if args.format == "json":
         text = _json_text(

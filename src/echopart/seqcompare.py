@@ -43,6 +43,8 @@ PUBLISHED_MOD6_TERMS: tuple[int, ...] = (
     1, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6, 6, 8, 9, 10, 11, 14, 15, 18,
     20, 23, 25, 30, 33,
 )
+# The least order at which every hypothesis covers every term of both lists.
+FULL_COVERAGE_ORDER = 56
 
 _BFILE_LINE = re.compile(r"[ \t]*(-?\d+)[ \t]+(-?\d+)[ \t]*")
 
@@ -219,8 +221,7 @@ def compare_bfile(
 def remark_comparisons(order: int = 120) -> list[SequenceComparison]:
     """Compare the two published 25-term lists against computed coefficients.
 
-    Every term is covered under every hypothesis from order 56 on (the
-    least such order, which `echopart remark-check` computes).
+    Every term is covered under every hypothesis from FULL_COVERAGE_ORDER on.
     """
     return [
         compare_published(name, reference, direct_counts_upto(family, order))

@@ -82,6 +82,8 @@ MUTANTS = [
      '",\\n".join(f"    [', '"\\n".join(f"    [', ["test_cli"]),
     ("cmd_bfile_export: nonzero mode written at offset 0", "cli.py",
      "offset, values = 1, tuple(", "offset, values = 0, tuple(", ["test_cli"]),
+    ("FULL_COVERAGE_ORDER: one past the least covering order", "seqcompare.py",
+     "FULL_COVERAGE_ORDER = 56", "FULL_COVERAGE_ORDER = 57", ["test_cli"]),
     ("pochhammer: theta = instead of += for collided exponents", "qproducts.py",
      "coeffs[e] += (-s) ** abs(k)", "coeffs[e] = (-s) ** abs(k)", ["test_qproducts"]),
     ("pochhammer: theta sign", "qproducts.py",
@@ -114,6 +116,8 @@ MUTANTS = [
      "terms.append((sign, partial(lambda value, _: value, expand(order))))", ["test_qproducts"]),
     ("__truediv__: subtracted terms added", "series.py",
      "acc -= a * out[k - i]", "acc += a * out[k - i]", ["test_series", "test_series_properties"]),
+    ("__mul__: no operand swap, so k * s runs a pass per term of s", "series.py",
+     "outer, inner = inner, outer", "pass", ["test_series"]),
     ("__mul__: each pass one place late", "series.py",
      "out[i:] = map(add, out[i:],", "out[i + 1:] = map(add, out[i + 1:],",
      ["test_series", "test_series_properties"]),

@@ -53,6 +53,28 @@ def test_direct_count_golden(family):
     assert [direct_count(family, 2 * k) for k in range(16)] == EXPECTED_EVEN[family]
 
 
+# Values that depend on neither route: a family's count at 2*l is the number
+# of partitions of l in its class minus the single-part one.  p(100) =
+# 190569292, p(200) = 3972999029388 and q(100) = 444793 distinct partitions
+# (Andrews, The Theory of Partitions; MacMahon's table).
+CLASSICAL_ANCHORS = [
+    (Family.PLAIN, 200, 190569292 - 1),
+    (Family.PLAIN, 400, 3972999029388 - 1),
+    (Family.DISTINCT, 200, 444793 - 1),
+]
+
+
+@pytest.mark.parametrize("route", ["direct_count", "genfun_series"])
+@pytest.mark.parametrize(
+    "family, n, value", CLASSICAL_ANCHORS, ids=lambda v: getattr(v, "value", str(v))
+)
+def test_classical_value_anchor(route, family, n, value):
+    if route == "direct_count":
+        assert direct_count(family, n) == value
+    else:
+        assert genfun_series(family, n).coefficient(n) == value
+
+
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
 def test_direct_count_matches_definition(family):
     for n in range(31):

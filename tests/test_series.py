@@ -1,6 +1,7 @@
 import pytest
 
 from echopart import TruncatedSeries, monomial, one, zero
+from echopart import series as series_module
 
 
 def test_order_is_len_minus_one():
@@ -74,6 +75,23 @@ def test_multiplication_truncates():
     b = TruncatedSeries((1, 1, 1))
     c = TruncatedSeries((1, -1, 0))
     assert (b * c).coeffs == (1, 0, 0)
+
+
+def test_scalar_product_is_one_pass(monkeypatch):
+    """k * s and s * k run one pass over s: the scalar is the outer operand."""
+    calls = []
+    original = series_module.add
+
+    def counting(a, b):
+        calls.append(None)
+        return original(a, b)
+
+    s = TruncatedSeries(tuple(range(1, 52)))
+    monkeypatch.setattr(series_module, "add", counting)
+    for product in (lambda: 3 * s, lambda: s * 3):
+        calls.clear()
+        assert product().coeffs == tuple(3 * c for c in s.coeffs)
+        assert len(calls) == 51
 
 
 def test_geometric_series_inverse():
