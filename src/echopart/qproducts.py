@@ -20,6 +20,8 @@ Cauchy's 1/(z;p) = sum_n z^n p^(n^2-n) / ((p;p)_n (z;p)_n) (Andrews, The
 Theory of Partitions, ch. 2).  About sqrt(2N/m) terms start at an
 exponent <= N, each the one before shifted and divided by one binomial
 (two for Cauchy's): O(N*sqrt(N/m)) per symbol, not O(N) per binomial.
+The terms are summed by Horner's rule (Knuth, TAOCP vol. 2, 4.6.4), last
+term first, so a symbol applied to 1 costs its divisions and no additions.
 A division by (1 -+ q^e) runs in C-level slice passes, a running sum per
 residue class for a small e and block by block for a larger one, like
 the partition DP's; the two keep separate copies, because verify checks
@@ -30,7 +32,9 @@ one route against the other and a shared fault would agree with itself.
 builders; the family recipes and ``echopart expand`` share it.  A quotient
 is one division, whatever its denominator: the numerator (or 1) is divided
 by an expanded theta denominator with ``/``, or by a dense one symbol by
-symbol with Cauchy's series, never expanded and then inverted.
+symbol with Cauchy's series, never expanded and then inverted.  A sum
+whose exponents share a factor g is expanded in x = q^g at order N // g;
+every family's recipe is a series in q^2.
 
 Infinite products with |q| < 1 make sense here only as formal series; no
 floating point is involved anywhere.
@@ -46,6 +50,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
+from math import gcd
 from operator import add, sub
 from typing import NamedTuple
 
@@ -162,19 +167,39 @@ def _over(coeffs: list[int], sign: int, e: int) -> None:
 
 def _by_symbol(coeffs: list[int], factor: PochhammerFactor, inverse: bool) -> None:
     """Multiply coeffs in place by (z;p), z = sign*q^a and p = q^m, or divide
-    them by it if inverse, summing Euler's or Cauchy's series term by term."""
+    them by it if inverse, summing Euler's or Cauchy's series by Horner's rule.
+
+    With F the input and c = -sign (Euler's) or sign (Cauchy's), term j is
+    c^j q^(e_j) F / (D_1 ... D_j), where D_j is (1 - q^(jm)) for Euler's and
+    also (1 - sign*q^(a+(j-1)m)) for Cauchy's.  From W_n = c^n F, each
+    W_(j-1) = c^(j-1) F + q^(e_j - e_(j-1)) W_j / D_j, and W_0 is the sum.
+    Each W_j is held from its lowest exponent e_j up.  When F's zeros all
+    trail its nonzero cells, F is added over those cells only: one cell for
+    a symbol that starts from 1, so the additions cost nothing there.
+    """
     sign, a, m = factor
     order = len(coeffs) - 1
-    term, e, n, unit = coeffs, 0, 0, 1
+    starts, e, n = [0], 0, 0
     # term n starts at e = a*n + m*n(n-1)/2 (Euler's) or a*n + m*n(n-1) (Cauchy's)
     while (e := e + a + (2 if inverse else 1) * n * m) <= order:
+        starts.append(e)
         n += 1
-        term = term[: order + 1 - e]  # held from its lowest exponent e up
-        _over(term, 1, n * m)
-        if inverse:
-            _over(term, sign, a + (n - 1) * m)
-        unit *= sign if inverse else -sign
-        coeffs[e:] = map(add if unit == 1 else sub, coeffs[e:], term)
+    c = sign if inverse else -sign
+    unit = c ** n
+    zeros = coeffs.count(0)
+    trailing = zeros if zeros and coeffs.index(0) == len(coeffs) - zeros else 0
+    nonzero = len(coeffs) - trailing
+    w: list[int] = []  # W_(n+1) = 0
+    for j in range(n, -1, -1):
+        # W_j = c^j F + q^(e_(j+1) - e_j) W_(j+1) / D_(j+1), from e_j up
+        w = [0] * (order + 1 - starts[j] - len(w)) + w
+        w[:nonzero] = map(add if unit == 1 else sub, w[:nonzero], coeffs)
+        unit *= c
+        if j:  # divided by D_j for the next step
+            _over(w, 1, j * m)
+            if inverse:
+                _over(w, sign, a + (j - 1) * m)
+    coeffs[:] = w
 
 
 def geometric(spec: GeometricSpec, order: int) -> TruncatedSeries:
@@ -224,6 +249,20 @@ def _quotient(num: PochhammerSpec | None, den: PochhammerSpec, order: int) -> Tr
     return TruncatedSeries(tuple(coeffs))
 
 
+def _exponents(spec: PochhammerSpec | GeometricSpec) -> tuple[int, ...]:
+    """A comb's k and d, or a symbol's offsets and steps."""
+    if isinstance(spec, GeometricSpec):
+        return spec.numerator, spec.period
+    return tuple(e for _, offset, step in spec.factors for e in (offset, step))
+
+
+def _scaled(spec: PochhammerSpec | GeometricSpec, g: int) -> PochhammerSpec | GeometricSpec:
+    """The spec with every exponent divided by g."""
+    if isinstance(spec, GeometricSpec):
+        return GeometricSpec(spec.numerator // g, spec.period // g)
+    return PochhammerSpec(tuple((s, offset // g, step // g) for s, offset, step in spec.factors))
+
+
 def evaluate(text: str, order: int) -> TruncatedSeries:
     """Expand a signed sum of q-expression terms to the given order.
 
@@ -240,7 +279,11 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
     The first term starts the sum and may carry a sign; every later term
     is added or subtracted according to its sign.  The whole text is parsed,
     and every spec built, before any term is expanded, so bad input fails
-    at once whatever the order.
+    at once whatever the order.  Every nonzero coefficient then sits at a
+    multiple of g, the gcd of all exponents (symbol offsets and steps, comb
+    k and d; 1 if there are none), so the sum is expanded in x = q^g: each
+    spec with its exponents divided by g, at order // g, spread out once.
+    Every family's recipe has g = 2.
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
@@ -258,17 +301,25 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
         pos = m.end()
         sign, constant, k, d, over, num, num_step, sym, sym_step = m.groups()
         if constant is not None:
-            expand = partial(monomial, int(constant), 0)
+            build, specs = partial(monomial, int(constant), 0), ()
         elif k is not None:
-            expand = partial(geometric, GeometricSpec(_exponent(k), _exponent(d)))
+            build, specs = geometric, (GeometricSpec(_exponent(k), _exponent(d)),)
         elif over is None:
-            expand = partial(pochhammer, _spec(sym, sym_step))
+            build, specs = pochhammer, (_spec(sym, sym_step),)
+        elif over == "1":
+            build, specs = partial(_quotient, None), (_spec(sym, sym_step),)
         else:
-            num = None if over == "1" else _spec(num, num_step)
-            expand = partial(_quotient, num, _spec(sym, sym_step))
-        terms.append((sign, expand))
-    (sign, expand), *rest = terms
-    result = -expand(order) if sign == "-" else expand(order)
-    for sign, expand in rest:
-        result = result - expand(order) if sign == "-" else result + expand(order)
-    return result
+            build, specs = _quotient, (_spec(num, num_step), _spec(sym, sym_step))
+        terms.append((sign, build, specs))
+    g = gcd(*(e for _, _, specs in terms for spec in specs for e in _exponents(spec))) or 1
+    expanded = (
+        (sign, build(*(_scaled(spec, g) for spec in specs), order // g))
+        for sign, build, specs in terms
+    )
+    sign, result = next(expanded)
+    result = -result if sign == "-" else result
+    for sign, series in expanded:
+        result = result - series if sign == "-" else result + series
+    out = [0] * (order + 1)
+    out[::g] = result.coeffs
+    return TruncatedSeries(tuple(out))

@@ -98,10 +98,16 @@ MUTANTS = [
     ("_over: 1/(1 + q^e) rewritten without doubling e", "qproducts.py",
      "e *= 2", "e *= 1", ["test_qproducts"]),
     ("_by_symbol: Euler's and Cauchy's sign ratios swapped", "qproducts.py",
-     "unit *= sign if inverse else -sign", "unit *= -sign if inverse else sign",
+     "c = sign if inverse else -sign", "c = -sign if inverse else sign",
      ["test_qproducts"]),
     ("_by_symbol: reciprocal without its second division", "qproducts.py",
-     "_over(term, sign, a + (n - 1) * m)", "pass", ["test_qproducts"]),
+     "_over(w, sign, a + (j - 1) * m)", "pass", ["test_qproducts"]),
+    ("_by_symbol: Horner's sign power off by one", "qproducts.py",
+     "unit = c ** n", "unit = c ** (n + 1)", ["test_qproducts"]),
+    ("_by_symbol: F added one cell short", "qproducts.py",
+     "w[:nonzero] = map(add if unit == 1 else sub, w[:nonzero], coeffs)",
+     "w[:nonzero - 1] = map(add if unit == 1 else sub, w[:nonzero - 1], coeffs)",
+     ["test_qproducts"]),
     ("_by_symbol: reciprocal's exponent step m instead of 2m", "qproducts.py",
      "(2 if inverse else 1) * n * m", "n * m", ["test_qproducts"]),
     ("_theta_shape: the two offsets' signs not compared", "qproducts.py",
@@ -112,8 +118,13 @@ MUTANTS = [
     ("evaluate: grammar without 1/(den)", "qproducts.py",
      "(?:(1|{_SYMBOL})/)?", "(?:({_SYMBOL})/)?", ["test_qproducts"]),
     ("evaluate: each term expanded while parsing", "qproducts.py",
-     "terms.append((sign, expand))",
-     "terms.append((sign, partial(lambda value, _: value, expand(order))))", ["test_qproducts"]),
+     "terms.append((sign, build, specs))",
+     "terms.append((sign, partial(lambda value, *_: value, build(*specs, order)), ()))",
+     ["test_qproducts"]),
+    ("evaluate: common factor g computed without the comb period d", "qproducts.py",
+     "return spec.numerator, spec.period", "return (spec.numerator,)", ["test_qproducts"]),
+    ("evaluate: the sum in q^g packed at the bottom, not spread", "qproducts.py",
+     "out[::g] = result.coeffs", "out[: order // g + 1] = result.coeffs", ["test_qproducts"]),
     ("__truediv__: subtracted terms added", "series.py",
      "acc -= a * out[k - i]", "acc += a * out[k - i]", ["test_series", "test_series_properties"]),
     ("__mul__: no operand swap, so k * s runs a pass per term of s", "series.py",

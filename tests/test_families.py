@@ -303,7 +303,8 @@ def test_closed_form_route_never_counts_partitions(monkeypatch):
 
 def test_recipe_quotients_divide_once_and_never_multiply(monkeypatch):
     """No recipe multiplies two series; only plain's reciprocal goes
-    through invert()."""
+    through invert(), at half the order, since every recipe is a series in
+    q^2.  A term with an odd exponent keeps the full order."""
     inverted = []
     original = TruncatedSeries.invert
 
@@ -318,7 +319,8 @@ def test_recipe_quotients_divide_once_and_never_multiply(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "invert", counting)
     for family in Family:
         evaluate(families_module.RECIPES[family], 60)
-    assert inverted == [60]
+    evaluate(families_module.RECIPES[Family.PLAIN] + " - q/(1-q^2)", 60)
+    assert inverted == [30, 60]
 
 
 # Each recipe's product as the quotient of theta series it equals, which

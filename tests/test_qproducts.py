@@ -237,20 +237,20 @@ def _q(e, draw):
 
 
 @st.composite
-def symbols(draw):
-    """(text, factors) of a Pochhammer symbol: steps 1-6, offsets 1-16, up to
-    three factors, some repeated."""
-    step = draw(st.integers(min_value=1, max_value=6))
-    parts = _up_to_three(
-        draw, st.tuples(st.sampled_from((1, -1)), st.integers(min_value=1, max_value=16))
-    )
+def symbols(draw, g=1):
+    """(text, factors) of a Pochhammer symbol: steps g*(1-6), offsets
+    g*(1-16), up to three factors, some repeated."""
+    step = g * draw(st.integers(min_value=1, max_value=6))
+    offsets = st.integers(min_value=1, max_value=16).map(g.__mul__)
+    parts = _up_to_three(draw, st.tuples(st.sampled_from((1, -1)), offsets))
     body = ",".join(("-" if sign < 0 else "") + _q(e, draw) for sign, e in parts)
     return f"({body};{_q(step, draw)})", [(sign, offset, step) for sign, offset in parts]
 
 
 @st.composite
-def terms(draw):
-    """(text, direct(order), oracle(order)) for one term.
+def terms(draw, g=1):
+    """(text, direct(order), oracle(order)) for one term, every exponent a
+    multiple of g.
 
     direct builds the term from pochhammer/geometric/invert; oracle expands
     it with tests/bruteforce.py alone.
@@ -260,15 +260,15 @@ def terms(draw):
         c = draw(st.integers(min_value=0, max_value=5))
         return str(c), lambda n: monomial(c, 0, n), lambda n: [c] + [0] * n
     if kind == "comb":
-        k = draw(st.integers(min_value=0, max_value=8))
-        d = draw(st.integers(min_value=1, max_value=8))
+        k = g * draw(st.integers(min_value=0, max_value=8))
+        d = g * draw(st.integers(min_value=1, max_value=8))
         numerator = "1" if k == 0 else _q(k, draw)
         return (
             f"{numerator}/(1-{_q(d, draw)})",
             lambda n: geometric(GeometricSpec(k, d), n),
             lambda n: [int(e >= k and (e - k) % d == 0) for e in range(n + 1)],
         )
-    num_text, num = draw(symbols())
+    num_text, num = draw(symbols(g))
     if kind == "symbol":
         return (
             num_text,
@@ -281,7 +281,7 @@ def terms(draw):
             lambda n: pochhammer(PochhammerSpec(tuple(num)), n).invert(),
             lambda n: bruteforce.product_coeffs(num, n, inverted=True),
         )
-    den_text, den = draw(symbols())
+    den_text, den = draw(symbols(g))
     return (
         f"{num_text}/{den_text}",
         lambda n: pochhammer(PochhammerSpec(tuple(den)), n).invert()
@@ -295,11 +295,11 @@ def terms(draw):
 
 
 @st.composite
-def sums(draw):
+def sums(draw, g=1):
     """(text, [(sign, direct, oracle), ...]); the first sign may be omitted."""
     parts, text = [], ""
     for i in range(draw(st.integers(min_value=1, max_value=4))):
-        term_text, direct, oracle = draw(terms())
+        term_text, direct, oracle = draw(terms(g))
         sign = draw(st.sampled_from(("+", "-") if i else ("", "+", "-")))
         spaces = draw(st.sampled_from(("", " ")))
         text += f"{spaces}{sign}{spaces}{term_text}"
@@ -307,10 +307,9 @@ def sums(draw):
     return text, parts
 
 
-@given(expr=sums(), order=st.integers(min_value=0, max_value=40))
-@settings(max_examples=150)
-def test_evaluate_matches_direct_composition_and_oracle(expr, order):
-    text, parts = expr
+def _check_sum(text, parts, order):
+    """evaluate(text) against the sum built term by term at the full order
+    and against the oracle."""
     direct = zero(order)
     oracle = [0] * (order + 1)
     for sign, build, expand in parts:
@@ -321,8 +320,53 @@ def test_evaluate_matches_direct_composition_and_oracle(expr, order):
     assert list(series.coeffs) == oracle
 
 
+@given(expr=sums(), order=st.integers(min_value=0, max_value=40))
+@settings(max_examples=150)
+def test_evaluate_matches_direct_composition_and_oracle(expr, order):
+    _check_sum(*expr, order)
+
+
+@st.composite
+def scaled_sums(draw):
+    """(text, parts, order): a sum whose exponents share a factor g in 2-12,
+    at an order up to 300 that g mostly does not divide, or below g."""
+    g = draw(st.integers(min_value=2, max_value=12))
+    text, parts = draw(sums(g))
+    order = draw(st.one_of(st.integers(min_value=0, max_value=300),
+                           st.integers(min_value=0, max_value=g - 1)))
+    return text, parts, order
+
+
+@given(scaled_sums())
+@settings(max_examples=100, deadline=None)
+def test_sums_in_q_to_the_g_match_the_oracle(case):
+    """evaluate expands these at order // g with every exponent divided by
+    g, then spreads the result back out."""
+    _check_sum(*case)
+
+
+# in the first four, one exponent alone is odd, so the sum is not a series in q^2
+COMMON_FACTOR_CASES = {
+    "q^2/(1-q^3)": lambda n: geometric(GeometricSpec(2, 3), n),
+    "q^3/(1-q^2)": lambda n: geometric(GeometricSpec(3, 2), n),
+    "(-q^2,q^3;q^4)": lambda n: pochhammer(PochhammerSpec(((-1, 2, 4), (1, 3, 4))), n),
+    "(q^2;q^3)": lambda n: pochhammer(PochhammerSpec(((1, 2, 3),)), n),
+    "1/(1-q^4) + 2": lambda n: geometric(GeometricSpec(0, 4), n) + 2,  # g = 4
+    "3": lambda n: monomial(3, 0, n),  # no exponent at all
+}
+
+
+@pytest.mark.parametrize("text", list(COMMON_FACTOR_CASES))
+def test_the_common_factor_reads_every_exponent(text):
+    direct = COMMON_FACTOR_CASES[text]
+    for order in range(14):
+        assert evaluate(text, order) == direct(order), order
+
+
 def test_evaluate_calls_the_builders_denominator_first(monkeypatch):
-    """A quotient expands and inverts its denominator before the numerator."""
+    """A quotient expands and inverts its denominator before the numerator.
+    Exponents sharing g = 2 reach the builders halved; a q^1 leaves g = 1
+    and the specs as written."""
     calls = []
 
     def recording(name):
@@ -338,9 +382,16 @@ def test_evaluate_calls_the_builders_denominator_first(monkeypatch):
     monkeypatch.setattr(qproducts, "geometric", recording("geometric"))
     evaluate("(q^4;q^4)/(q^2;q^2) - q^2/(1-q^4)", 10)
     assert calls == [
+        ("pochhammer", PochhammerSpec(((1, 1, 1),))),
+        ("pochhammer", PochhammerSpec(((1, 2, 2),))),
+        ("geometric", GeometricSpec(1, 2)),
+    ]
+    calls.clear()
+    evaluate("(q^4;q^4)/(q^2;q^2) - q/(1-q^4)", 10)
+    assert calls == [
         ("pochhammer", PochhammerSpec(((1, 2, 2),))),
         ("pochhammer", PochhammerSpec(((1, 4, 4),))),
-        ("geometric", GeometricSpec(2, 4)),
+        ("geometric", GeometricSpec(1, 4)),
     ]
 
 
@@ -389,6 +440,31 @@ def test_series_sums_match_the_references(case):
         qproducts._by_symbol(reciprocal, factor, inverse=True)
     assert product == bruteforce.binomial_loop(factors, order)
     assert reciprocal == bruteforce.product_coeffs(factors, order, inverted=True)
+
+
+@st.composite
+def series_and_factors(draw):
+    """(coeffs, factor): coefficients at an order up to 150 that are zero
+    past a random prefix, some inside it too, and one symbol's factor."""
+    order = draw(st.integers(min_value=0, max_value=150))
+    prefix = draw(st.lists(st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+                           min_size=1, max_size=order + 1))
+    factor = draw(st.tuples(st.sampled_from((1, -1)), st.integers(min_value=1, max_value=20),
+                            st.integers(min_value=1, max_value=10)))
+    return prefix + [0] * (order + 1 - len(prefix)), factor
+
+
+@given(series_and_factors(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_by_symbol_multiplies_any_series(case, inverse):
+    """F times the symbol, or F over it, not only 1 times it: Horner's rule
+    adds F at every step, over its nonzero prefix."""
+    coeffs, factor = case
+    order = len(coeffs) - 1
+    symbol = bruteforce.product_coeffs([factor], order, inverted=inverse)
+    expected = bruteforce.poly_mul(coeffs, symbol, order)
+    qproducts._by_symbol(coeffs, factor, inverse)
+    assert coeffs == expected
 
 
 def _big(k):
@@ -482,7 +558,11 @@ def test_theta_reciprocals_still_invert_once(monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "invert", counting)
     for s in range(1, 7):
-        evaluate(f"1/(q^{s};q^{s})", 60)
+        evaluate(f"1/(q^{s};q^{s})", 60)  # a series in q^s, inverted at order 60 // s
+    assert calls == [60, 30, 20, 15, 12, 10]
+    calls.clear()
+    for s in range(1, 7):
+        evaluate(f"1/(q^{s};q^{s}) + q/(1-q)", 60)
     assert calls == [60] * 6
 
 
