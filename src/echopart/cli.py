@@ -76,7 +76,8 @@ def _report_line(report: VerificationReport) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    selected = list(Family) if args.family == "all" else [Family.from_token(args.family)]
+    every = args.family.strip().lower() == "all"  # as Family.from_token reads a token
+    selected = list(Family) if every else [Family.from_token(args.family)]
     reports = [families.verify(family, args.order) for family in selected]
     disagreeing = sum(not r.all_equal for r in reports)
     if args.format == "text":

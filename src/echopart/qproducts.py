@@ -32,9 +32,9 @@ one route against the other and a shared fault would agree with itself.
 builders; the family recipes and ``echopart expand`` share it.  A quotient
 is one division, whatever its denominator: the numerator (or 1) is divided
 by an expanded theta denominator with ``/``, or by a dense one symbol by
-symbol with Cauchy's series, never expanded and then inverted.  A sum
-whose exponents share a factor g is expanded in x = q^g at order N // g;
-every family's recipe is a series in q^2.
+symbol with Cauchy's series, never expanded and then inverted.  Before
+the parse it reads g, the gcd of the text's powers of q, and expands the
+sum in x = q^g at order N // g; every family's recipe is a series in q^2.
 
 Infinite products with |q| < 1 make sense here only as formal series; no
 floating point is involved anywhere.
@@ -228,10 +228,11 @@ def _exponent(power: str) -> int:
     return 0 if power == "1" else int(power[2:] or 1)
 
 
-def _spec(factors: str, step: str) -> PochhammerSpec:
-    """The symbol (factors;step), e.g. factors '-q^2,-q^4' and step 'q^6'."""
+def _spec(factors: str, step: str, g: int) -> PochhammerSpec:
+    """The symbol (factors;step), e.g. factors '-q^2,-q^4' and step 'q^6',
+    with every exponent divided by g."""
     return PochhammerSpec(tuple(
-        (-1 if f[0] == "-" else 1, _exponent(f.lstrip("-")), _exponent(step))
+        (-1 if f[0] == "-" else 1, _exponent(f.lstrip("-")) // g, _exponent(step) // g)
         for f in factors.split(",")
     ))
 
@@ -247,20 +248,6 @@ def _quotient(num: PochhammerSpec | None, den: PochhammerSpec, order: int) -> Tr
     for factor in den.factors:
         _by_symbol(coeffs, factor, inverse=True)
     return TruncatedSeries(tuple(coeffs))
-
-
-def _exponents(spec: PochhammerSpec | GeometricSpec) -> tuple[int, ...]:
-    """A comb's k and d, or a symbol's offsets and steps."""
-    if isinstance(spec, GeometricSpec):
-        return spec.numerator, spec.period
-    return tuple(e for _, offset, step in spec.factors for e in (offset, step))
-
-
-def _scaled(spec: PochhammerSpec | GeometricSpec, g: int) -> PochhammerSpec | GeometricSpec:
-    """The spec with every exponent divided by g."""
-    if isinstance(spec, GeometricSpec):
-        return GeometricSpec(spec.numerator // g, spec.period // g)
-    return PochhammerSpec(tuple((s, offset // g, step // g) for s, offset, step in spec.factors))
 
 
 def evaluate(text: str, order: int) -> TruncatedSeries:
@@ -279,15 +266,16 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
     The first term starts the sum and may carry a sign; every later term
     is added or subtracted according to its sign.  The whole text is parsed,
     and every spec built, before any term is expanded, so bad input fails
-    at once whatever the order.  Every nonzero coefficient then sits at a
-    multiple of g, the gcd of all exponents (symbol offsets and steps, comb
-    k and d; 1 if there are none), so the sum is expanded in x = q^g: each
-    spec with its exponents divided by g, at order // g, spread out once.
-    Every family's recipe has g = 2.
+    at once whatever the order.  Before the parse, g is read from the text
+    as the gcd of its powers of q (1 if there are none); every exponent is
+    one of them, so every nonzero coefficient sits at a multiple of g.  The
+    sum is expanded in x = q^g: each spec built with its exponents divided
+    by g, at order // g, spread out once.  Every family's recipe has g = 2.
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     compact = text.strip().replace(" ", "")
+    g = gcd(*map(_exponent, re.findall(_POWER, compact))) or 1
     term = re.compile(_TERM)
     terms, pos = [], 0
     while not terms or pos < len(compact):
@@ -301,25 +289,19 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
         pos = m.end()
         sign, constant, k, d, over, num, num_step, sym, sym_step = m.groups()
         if constant is not None:
-            build, specs = partial(monomial, int(constant), 0), ()
+            expand = partial(monomial, int(constant), 0)
         elif k is not None:
-            build, specs = geometric, (GeometricSpec(_exponent(k), _exponent(d)),)
+            expand = partial(geometric, GeometricSpec(_exponent(k) // g, _exponent(d) // g))
         elif over is None:
-            build, specs = pochhammer, (_spec(sym, sym_step),)
-        elif over == "1":
-            build, specs = partial(_quotient, None), (_spec(sym, sym_step),)
+            expand = partial(pochhammer, _spec(sym, sym_step, g))
         else:
-            build, specs = _quotient, (_spec(num, num_step), _spec(sym, sym_step))
-        terms.append((sign, build, specs))
-    g = gcd(*(e for _, _, specs in terms for spec in specs for e in _exponents(spec))) or 1
-    expanded = (
-        (sign, build(*(_scaled(spec, g) for spec in specs), order // g))
-        for sign, build, specs in terms
-    )
-    sign, result = next(expanded)
-    result = -result if sign == "-" else result
-    for sign, series in expanded:
-        result = result - series if sign == "-" else result + series
+            num = None if over == "1" else _spec(num, num_step, g)
+            expand = partial(_quotient, num, _spec(sym, sym_step, g))
+        terms.append((sign, expand))
+    (sign, expand), *rest = terms
+    result = -expand(order // g) if sign == "-" else expand(order // g)
+    for sign, expand in rest:
+        result = result - expand(order // g) if sign == "-" else result + expand(order // g)
     out = [0] * (order + 1)
     out[::g] = result.coeffs
     return TruncatedSeries(tuple(out))

@@ -118,11 +118,11 @@ MUTANTS = [
     ("evaluate: grammar without 1/(den)", "qproducts.py",
      "(?:(1|{_SYMBOL})/)?", "(?:({_SYMBOL})/)?", ["test_qproducts"]),
     ("evaluate: each term expanded while parsing", "qproducts.py",
-     "terms.append((sign, build, specs))",
-     "terms.append((sign, partial(lambda value, *_: value, build(*specs, order)), ()))",
+     "terms.append((sign, expand))",
+     "terms.append((sign, partial(lambda value, _: value, expand(order // g))))",
      ["test_qproducts"]),
-    ("evaluate: common factor g computed without the comb period d", "qproducts.py",
-     "return spec.numerator, spec.period", "return (spec.numerator,)", ["test_qproducts"]),
+    ("evaluate: g read without a caret-less q", "qproducts.py",
+     "re.findall(_POWER, compact)", 're.findall(r"q\\^\\d+", compact)', ["test_qproducts"]),
     ("evaluate: the sum in q^g packed at the bottom, not spread", "qproducts.py",
      "out[::g] = result.coeffs", "out[: order // g + 1] = result.coeffs", ["test_qproducts"]),
     ("__truediv__: subtracted terms added", "series.py",

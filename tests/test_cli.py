@@ -187,6 +187,11 @@ def test_verify_all(capsys):
         assert any(line.startswith(f"{family.value}:") for line in lines)
 
 
+@pytest.mark.parametrize("token", ["ALL", " all", "All "])
+def test_verify_all_token_read_like_a_family_token(capsys, token):
+    assert run(capsys, "verify", token, "10") == run(capsys, "verify", "all", "10")
+
+
 def test_verify_order_zero(capsys):
     code, out, _ = run(capsys, "verify", "plain", "0", "--format", "json")
     assert code == 0

@@ -353,6 +353,7 @@ COMMON_FACTOR_CASES = {
     "(q^2;q^3)": lambda n: pochhammer(PochhammerSpec(((1, 2, 3),)), n),
     "1/(1-q^4) + 2": lambda n: geometric(GeometricSpec(0, 4), n) + 2,  # g = 4
     "3": lambda n: monomial(3, 0, n),  # no exponent at all
+    "(-q^2,-q;q^4)": lambda n: pochhammer(PochhammerSpec(((-1, 2, 4), (-1, 1, 4))), n),  # bare q
 }
 
 
@@ -365,8 +366,8 @@ def test_the_common_factor_reads_every_exponent(text):
 
 def test_evaluate_calls_the_builders_denominator_first(monkeypatch):
     """A quotient expands and inverts its denominator before the numerator.
-    Exponents sharing g = 2 reach the builders halved; a q^1 leaves g = 1
-    and the specs as written."""
+    Exponents sharing g = 2 reach the builders halved, spaces or not; a q^1
+    leaves g = 1 and the specs as written."""
     calls = []
 
     def recording(name):
@@ -380,13 +381,14 @@ def test_evaluate_calls_the_builders_denominator_first(monkeypatch):
 
     monkeypatch.setattr(qproducts, "pochhammer", recording("pochhammer"))
     monkeypatch.setattr(qproducts, "geometric", recording("geometric"))
-    evaluate("(q^4;q^4)/(q^2;q^2) - q^2/(1-q^4)", 10)
-    assert calls == [
-        ("pochhammer", PochhammerSpec(((1, 1, 1),))),
-        ("pochhammer", PochhammerSpec(((1, 2, 2),))),
-        ("geometric", GeometricSpec(1, 2)),
-    ]
-    calls.clear()
+    for text in ("(q^4;q^4)/(q^2;q^2) - q^2/(1-q^4)", "(q ^ 4;q ^ 4)/(q^2;q^2) - q^2/(1-q^4)"):
+        evaluate(text, 10)
+        assert calls == [
+            ("pochhammer", PochhammerSpec(((1, 1, 1),))),
+            ("pochhammer", PochhammerSpec(((1, 2, 2),))),
+            ("geometric", GeometricSpec(1, 2)),
+        ], text
+        calls.clear()
     evaluate("(q^4;q^4)/(q^2;q^2) - q/(1-q^4)", 10)
     assert calls == [
         ("pochhammer", PochhammerSpec(((1, 2, 2),))),
