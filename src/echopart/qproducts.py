@@ -118,14 +118,14 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
     A factor whose lowest exponent already exceeds the order contributes
     nothing and is skipped; an empty factor list gives the constant 1.
     The theta shapes (see the module docstring) cost O(sqrt(order)) after
-    the allocation; every other symbol (s*q^a;q^m) is summed by Euler's
-    series, O(order * sqrt(order/m)).
+    allocating order + 1 zeros; every other symbol (s*q^a;q^m) is summed by
+    Euler's series from the one-cell 1, O(order * sqrt(order/m)).
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    coeffs = [0] * (order + 1)
     shape = _theta_shape(spec.factors)
     if shape is not None:
+        coeffs = [0] * (order + 1)
         # Jacobi triple product, z = s*q^a:
         #   (z, q^m/z, q^m; q^m) = sum over integers k of (-z)^k q^(m*k*(k-1)/2).
         # The exponent grows with |k| on both sides of 0, so each side stops
@@ -137,10 +137,10 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
                 coeffs[e] += (-s) ** abs(k)
                 k += step
         return TruncatedSeries(tuple(coeffs))
-    coeffs[0] = 1
+    coeffs = (1,)
     for factor in spec.factors:
-        _by_symbol(coeffs, factor, inverse=False)
-    return TruncatedSeries(tuple(coeffs))
+        coeffs = _by_symbol(coeffs, factor, order, inverse=False)
+    return TruncatedSeries(tuple(coeffs) + (0,) * (order + 1 - len(coeffs)))
 
 
 def _over(coeffs: list[int], sign: int, e: int) -> None:
@@ -165,20 +165,19 @@ def _over(coeffs: list[int], sign: int, e: int) -> None:
             coeffs[k : k + e] = map(add, coeffs[k : k + e], coeffs[k - e : k])
 
 
-def _by_symbol(coeffs: list[int], factor: PochhammerFactor, inverse: bool) -> None:
-    """Multiply coeffs in place by (z;p), z = sign*q^a and p = q^m, or divide
-    them by it if inverse, summing Euler's or Cauchy's series by Horner's rule.
+def _by_symbol(
+    coeffs: tuple[int, ...] | list[int], factor: PochhammerFactor, order: int, inverse: bool
+) -> list[int]:
+    """F = coeffs times (z;p), z = sign*q^a and p = q^m, or over it if inverse,
+    to the order, by Euler's or Cauchy's series summed by Horner's rule.
 
-    With F the input and c = -sign (Euler's) or sign (Cauchy's), term j is
-    c^j q^(e_j) F / (D_1 ... D_j), where D_j is (1 - q^(jm)) for Euler's and
-    also (1 - sign*q^(a+(j-1)m)) for Cauchy's.  From W_n = c^n F, each
-    W_(j-1) = c^(j-1) F + q^(e_j - e_(j-1)) W_j / D_j, and W_0 is the sum.
-    Each W_j is held from its lowest exponent e_j up.  When F's zeros all
-    trail its nonzero cells, F is added over those cells only: one cell for
-    a symbol that starts from 1, so the additions cost nothing there.
+    With c = -sign (Euler's) or sign (Cauchy's), term j is c^j q^(e_j) F /
+    (D_1 ... D_j), D_j = (1 - q^(jm)), times (1 - sign*q^(a+(j-1)m)) for
+    Cauchy's.  From W_n = c^n F, W_(j-1) = c^(j-1) F + q^(e_j - e_(j-1)) W_j / D_j,
+    and W_0, the sum, is returned.  Each W_j is held from its lowest exponent
+    e_j up.  F is added at the caller's length: one cell for a symbol applied to 1.
     """
     sign, a, m = factor
-    order = len(coeffs) - 1
     starts, e, n = [0], 0, 0
     # term n starts at e = a*n + m*n(n-1)/2 (Euler's) or a*n + m*n(n-1) (Cauchy's)
     while (e := e + a + (2 if inverse else 1) * n * m) <= order:
@@ -186,20 +185,17 @@ def _by_symbol(coeffs: list[int], factor: PochhammerFactor, inverse: bool) -> No
         n += 1
     c = sign if inverse else -sign
     unit = c ** n
-    zeros = coeffs.count(0)
-    trailing = zeros if zeros and coeffs.index(0) == len(coeffs) - zeros else 0
-    nonzero = len(coeffs) - trailing
     w: list[int] = []  # W_(n+1) = 0
     for j in range(n, -1, -1):
         # W_j = c^j F + q^(e_(j+1) - e_j) W_(j+1) / D_(j+1), from e_j up
         w = [0] * (order + 1 - starts[j] - len(w)) + w
-        w[:nonzero] = map(add if unit == 1 else sub, w[:nonzero], coeffs)
+        w[: len(coeffs)] = map(add if unit == 1 else sub, w[: len(coeffs)], coeffs)
         unit *= c
         if j:  # divided by D_j for the next step
             _over(w, 1, j * m)
             if inverse:
                 _over(w, sign, a + (j - 1) * m)
-    coeffs[:] = w
+    return w
 
 
 def geometric(spec: GeometricSpec, order: int) -> TruncatedSeries:
@@ -240,13 +236,13 @@ def _spec(factors: str, step: str, g: int) -> PochhammerSpec:
 def _quotient(num: PochhammerSpec | None, den: PochhammerSpec, order: int) -> TruncatedSeries:
     """num/den (1/den if num is None) as one division: by a theta den,
     expanded before num, or by any other den symbol by symbol with
-    Cauchy's series."""
+    Cauchy's series, from the one-cell 1 or num's coefficients."""
     if _theta_shape(den.factors) is not None:
         theta = pochhammer(den, order)
         return theta.invert() if num is None else pochhammer(num, order) / theta
-    coeffs = [1] + [0] * order if num is None else list(pochhammer(num, order).coeffs)
+    coeffs = (1,) if num is None else pochhammer(num, order).coeffs
     for factor in den.factors:
-        _by_symbol(coeffs, factor, inverse=True)
+        coeffs = _by_symbol(coeffs, factor, order, inverse=True)
     return TruncatedSeries(tuple(coeffs))
 
 

@@ -4,10 +4,10 @@ A b-file is the OEIS per-sequence term listing: one "index value" pair per
 line, indices consecutive.  Reading ends a line wherever str.splitlines()
 does: at LF, CRLF or a lone CR, but also at a form feed, a vertical tab, the
 file/group/record separators and the Unicode line breaks.  It skips '#'
-comment lines and takes any run of spaces or tabs between the two numbers
-and around them; read_bfile also drops a leading UTF-8 byte-order mark.
-Writing emits plain "index value\n" lines, so a read/write round trip is
-lossless modulo comment stripping and whitespace and newline normalization.
+comment lines and takes any run of spaces or tabs between and around the two
+numbers.  read_bfile drops a leading UTF-8 byte-order mark and reads a byte
+that is not UTF-8 as U+FFFD.  Writing emits plain "index value\n" lines, so
+a round trip loses only comments and the form of whitespace and newlines.
 
 Published term lists for these families do not always state which n each
 term belongs to.  Comparisons therefore never assert the reference values
@@ -90,7 +90,7 @@ def parse_bfile(text: str) -> BFile:
 
 
 def read_bfile(path: str | Path) -> BFile:
-    return parse_bfile(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_bfile(Path(path).read_text(encoding="utf-8-sig", errors="replace"))
 
 
 def render_bfile(bfile: BFile) -> str:

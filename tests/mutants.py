@@ -65,7 +65,9 @@ MUTANTS = [
      'f"(expected {offset + len(values)})"', 'f"(expected {offset + len(values) + 1})"',
      ["test_seqcompare"]),
     ("read_bfile: BOM decoding reverted", "seqcompare.py",
-     'read_text(encoding="utf-8-sig")', 'read_text(encoding="utf-8")',
+     'encoding="utf-8-sig"', 'encoding="utf-8"', ["test_seqcompare", "test_cli"]),
+    ("read_bfile: a byte that is not UTF-8 stops the read", "seqcompare.py",
+     'encoding="utf-8-sig", errors="replace"', 'encoding="utf-8-sig"',
      ["test_seqcompare", "test_cli"]),
     ("from_token: no _ to - rewrite", "families.py",
      'text.strip().lower().replace("_", "-")', "text.strip().lower()", ["test_families"]),
@@ -105,9 +107,14 @@ MUTANTS = [
     ("_by_symbol: Horner's sign power off by one", "qproducts.py",
      "unit = c ** n", "unit = c ** (n + 1)", ["test_qproducts"]),
     ("_by_symbol: F added one cell short", "qproducts.py",
-     "w[:nonzero] = map(add if unit == 1 else sub, w[:nonzero], coeffs)",
-     "w[:nonzero - 1] = map(add if unit == 1 else sub, w[:nonzero - 1], coeffs)",
+     "w[: len(coeffs)] = map(add if unit == 1 else sub, w[: len(coeffs)], coeffs)",
+     "w[: len(coeffs) - 1] = map(add if unit == 1 else sub, w[: len(coeffs) - 1], coeffs)",
      ["test_qproducts"]),
+    ("pochhammer: an empty factor list left unpadded", "qproducts.py",
+     "tuple(coeffs) + (0,) * (order + 1 - len(coeffs))", "tuple(coeffs)", ["test_qproducts"]),
+    ("pochhammer: a symbol applied to 1 handed F at full length", "qproducts.py",
+     "coeffs = (1,)\n    for factor in spec.factors:",
+     "coeffs = (1,) + (0,) * order\n    for factor in spec.factors:", ["test_qproducts"]),
     ("_by_symbol: reciprocal's exponent step m instead of 2m", "qproducts.py",
      "(2 if inverse else 1) * n * m", "n * m", ["test_qproducts"]),
     ("_theta_shape: the two offsets' signs not compared", "qproducts.py",

@@ -1,0 +1,58 @@
+"""Outside anchors at order 4000: classical facts about partitions that
+neither route uses, checked on both routes of verify.
+
+A family's coefficient at n = 2*l is its number of partitions of l minus
+the single-part one, so plain's gives p(l) and distinct's q(l), the number
+of partitions of l into distinct parts, for every l <= 2000.
+- Ramanujan (1919): p(5k+4) = 0 (mod 5), p(7k+5) = 0 (mod 7) and
+  p(11k+6) = 0 (mod 11).
+- (-q;q) = (q;q) (mod 2), so by Euler's pentagonal number theorem q(l) is
+  odd exactly when l is a generalized pentagonal number k(3k-1)/2.
+- Euler's distinct = odd and Schur's distinct +-1 (mod 3) = +-1 (mod 6)
+  on count_upto at limit 2000, beyond acceptance criterion 4's 300.
+"""
+
+import pytest
+
+from echopart import DISTINCT, MOD3_DISTINCT, MOD6, ODD, Family, count_upto, verify
+
+ORDER = 4000
+LIMIT = ORDER // 2
+ROUTES = ["genfun", "direct"]
+
+
+@pytest.fixture(scope="module")
+def reports():
+    return {family: verify(family, ORDER) for family in (Family.PLAIN, Family.DISTINCT)}
+
+
+def counts(report, route):
+    """The family's partition counts of l = 0..LIMIT: each coefficient at 2l
+    plus the one-part partition it leaves out."""
+    return [c + 1 for c in getattr(report, route)[::2]]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("modulus, residue", [(5, 4), (7, 5), (11, 6)])
+def test_ramanujan_congruences(reports, route, modulus, residue):
+    p = counts(reports[Family.PLAIN], route)
+    assert len(p) == LIMIT + 1 and p[:10] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+    assert [ell for ell in range(residue, LIMIT + 1, modulus) if p[ell] % modulus] == []
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_distinct_partitions_are_odd_at_pentagonal_numbers(reports, route):
+    q = counts(reports[Family.DISTINCT], route)
+    assert len(q) == LIMIT + 1 and q[:10] == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8]
+    # k(3k-1)/2 > 2000 once |k| >= 37
+    pentagonal = sorted(k * (3 * k - 1) // 2 for k in range(-37, 38))
+    assert [ell for ell, value in enumerate(q) if value % 2] == [
+        e for e in pentagonal if e <= LIMIT
+    ]
+
+
+@pytest.mark.parametrize(
+    "left, right", [(DISTINCT, ODD), (MOD3_DISTINCT, MOD6)], ids=["euler", "schur"]
+)
+def test_partition_identities(left, right):
+    assert count_upto(LIMIT, left) == count_upto(LIMIT, right)

@@ -427,6 +427,21 @@ def test_bfile_with_byte_order_mark(capsys, tmp_path):
     assert seqcompare.read_bfile(term_first) == seqcompare.BFile(0, (0, 0, 1))
 
 
+def test_bfile_with_a_latin1_comment(capsys, tmp_path):
+    """A comment saved as Latin-1 changes nothing; a term line holding such
+    a byte exits 2 naming its line, not a byte offset."""
+    original = FIXTURES / "b000065.txt"
+    path = tmp_path / original.name
+    path.write_bytes(b"# by J\xf6rg\n" + original.read_bytes())
+    expected = run(capsys, "bfile-compare", str(original), "plain", "--order", "60")
+    assert expected[0] == 0
+    assert run(capsys, "bfile-compare", str(path), "plain", "--order", "60") == expected
+    path.write_bytes(b"0 1\n1 1\xf6\n")
+    code, out, err = run(capsys, "bfile-compare", str(path), "plain", "--order", "60")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2: malformed b-file line")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -52,6 +52,9 @@ def test_two_factor_products():
 
 def test_order_zero():
     assert pochhammer(EULER, 0).coeffs == (1,)
+    # an empty factor list is the constant 1 at every order
+    for order in range(6):
+        assert pochhammer(PochhammerSpec(()), order) == one(order)
     assert geometric(GeometricSpec(0, 2), 0).coeffs == (1,)
     assert geometric(GeometricSpec(3, 2), 0).coeffs == (0,)
 
@@ -435,11 +438,10 @@ def orders_and_factors(draw):
 def test_series_sums_match_the_references(case):
     """Euler's series for products, Cauchy's for reciprocals, factor by factor."""
     order, factors = case
-    product = [1] + [0] * order
-    reciprocal = [1] + [0] * order
+    product = reciprocal = (1,)
     for factor in factors:
-        qproducts._by_symbol(product, factor, inverse=False)
-        qproducts._by_symbol(reciprocal, factor, inverse=True)
+        product = qproducts._by_symbol(product, factor, order, inverse=False)
+        reciprocal = qproducts._by_symbol(reciprocal, factor, order, inverse=True)
     assert product == bruteforce.binomial_loop(factors, order)
     assert reciprocal == bruteforce.product_coeffs(factors, order, inverted=True)
 
@@ -460,13 +462,40 @@ def series_and_factors(draw):
 @settings(max_examples=100, deadline=None)
 def test_by_symbol_multiplies_any_series(case, inverse):
     """F times the symbol, or F over it, not only 1 times it: Horner's rule
-    adds F at every step, over its nonzero prefix."""
+    adds F at every step, at the length it is given.  F at full length and
+    F cut after its last nonzero cell give the same series, and F itself
+    is left as it was."""
     coeffs, factor = case
     order = len(coeffs) - 1
     symbol = bruteforce.product_coeffs([factor], order, inverted=inverse)
     expected = bruteforce.poly_mul(coeffs, symbol, order)
-    qproducts._by_symbol(coeffs, factor, inverse)
-    assert coeffs == expected
+    series = list(coeffs)
+    assert qproducts._by_symbol(series, factor, order, inverse) == expected
+    assert series == coeffs
+    cut = len(coeffs)
+    while cut and not coeffs[cut - 1]:
+        cut -= 1
+    assert qproducts._by_symbol(tuple(coeffs[:cut]), factor, order, inverse) == expected
+
+
+@pytest.mark.parametrize("expand", [
+    lambda order: pochhammer(PochhammerSpec(((-1, 1, 1), (-1, 3, 1))), order),
+    lambda order: evaluate("1/(-q,-q^3;q)", order),
+], ids=["pochhammer", "quotient"])
+def test_a_symbol_applied_to_1_is_handed_one_cell(monkeypatch, expand):
+    """The first symbol of a dense product or reciprocal gets F = 1 as one
+    cell, so Horner's rule adds nothing there; the second gets the whole
+    series the first returned."""
+    lengths = []
+    by_symbol = qproducts._by_symbol
+
+    def recording(coeffs, *args, **kwargs):
+        lengths.append(len(coeffs))
+        return by_symbol(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(qproducts, "_by_symbol", recording)
+    expand(50)
+    assert lengths == [1, 51]
 
 
 def _big(k):

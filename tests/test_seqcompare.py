@@ -92,6 +92,19 @@ def test_file_round_trip(tmp_path):
     assert read_bfile(path) == b
 
 
+def test_bytes_that_are_not_utf8(tmp_path):
+    """A Latin-1 byte is read as U+FFFD: harmless in a comment, a malformed
+    line with its number in a term line.  A leading BOM is still dropped."""
+    path = tmp_path / "b.txt"
+    path.write_bytes(b"# by J\xf6rg\n0 1\n1 2\n")
+    assert read_bfile(path) == BFile(0, (1, 2))
+    path.write_bytes(b"\xef\xbb\xbf0 1\n# by J\xf6rg\n1 2\n")
+    assert read_bfile(path) == BFile(0, (1, 2))
+    path.write_bytes(b"0 1\n1 2\xf6\n")
+    with pytest.raises(ValueError, match="^line 2: malformed b-file line '1 2\ufffd'$"):
+        read_bfile(path)
+
+
 @pytest.mark.parametrize("line", ["0 1 ", "0\t1", "0  1", " 0 1"])
 def test_loose_whitespace_round_trips_to_canonical(line, tmp_path):
     """b-files in the wild pad with spaces or tabs; the writer stays canonical."""
