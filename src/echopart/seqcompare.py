@@ -221,7 +221,7 @@ def compare_bfile(
 def remark_comparisons(order: int = 120) -> list[SequenceComparison]:
     """Compare the two published 25-term lists against computed coefficients.
 
-    Every term is covered under every hypothesis from FULL_COVERAGE_ORDER on.
+    Any order is served; the CLI refuses those below FULL_COVERAGE_ORDER.
     """
     return [
         compare_published(name, reference, direct_counts_upto(family, order))

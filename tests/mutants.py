@@ -85,7 +85,12 @@ MUTANTS = [
     ("cmd_bfile_export: nonzero mode written at offset 0", "cli.py",
      "offset, values = 1, tuple(", "offset, values = 0, tuple(", ["test_cli"]),
     ("FULL_COVERAGE_ORDER: one past the least covering order", "seqcompare.py",
-     "FULL_COVERAGE_ORDER = 56", "FULL_COVERAGE_ORDER = 57", ["test_cli"]),
+     "FULL_COVERAGE_ORDER = 56", "FULL_COVERAGE_ORDER = 57", ["test_seqcompare"]),
+    ("FULL_COVERAGE_ORDER: one below the least covering order", "seqcompare.py",
+     "FULL_COVERAGE_ORDER = 56", "FULL_COVERAGE_ORDER = 55", ["test_seqcompare"]),
+    ("cmd_remark_check: refused at the covering order", "cli.py",
+     "if args.order < seqcompare.FULL_COVERAGE_ORDER:",
+     "if args.order <= seqcompare.FULL_COVERAGE_ORDER:", ["test_cli"]),
     ("pochhammer: theta = instead of += for collided exponents", "qproducts.py",
      "coeffs[e] += (-s) ** abs(k)", "coeffs[e] = (-s) ** abs(k)", ["test_qproducts"]),
     ("pochhammer: theta sign", "qproducts.py",

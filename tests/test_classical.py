@@ -10,11 +10,13 @@ of partitions of l into distinct parts, for every l <= 2000.
   odd exactly when l is a generalized pentagonal number k(3k-1)/2.
 - Euler's distinct = odd and Schur's distinct +-1 (mod 3) = +-1 (mod 6)
   on count_upto at limit 2000, beyond acceptance criterion 4's 300.
+- Rademacher's exact series for p(l) (rademacher.py) at five l up to 2000.
 """
 
 import pytest
 
 from echopart import DISTINCT, MOD3_DISTINCT, MOD6, ODD, Family, count_upto, verify
+from rademacher import partition_count
 
 ORDER = 4000
 LIMIT = ORDER // 2
@@ -38,6 +40,12 @@ def test_ramanujan_congruences(reports, route, modulus, residue):
     p = counts(reports[Family.PLAIN], route)
     assert len(p) == LIMIT + 1 and p[:10] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
     assert [ell for ell in range(residue, LIMIT + 1, modulus) if p[ell] % modulus] == []
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("ell", [100, 200, 1000, 1500, 2000])
+def test_rademacher_series(reports, route, ell):
+    assert counts(reports[Family.PLAIN], route)[ell] == partition_count(ell)
 
 
 @pytest.mark.parametrize("route", ROUTES)

@@ -311,22 +311,30 @@ def test_remark_check_text(capsys):
     assert "reference  computed" in out
 
 
-def test_remark_check_output_is_pinned(capsys):
-    code, out, err = run(capsys, "remark-check", "120")
-    assert code == 0 and err == ""
-    assert out == (FIXTURES / "remark_check_120.txt").read_text(encoding="utf-8")
-
-
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_remark_check_rejects_partial_coverage(capsys, fmt):
     """Too low an order covers only some published terms: an error, not a verdict."""
     code, out, err = run(capsys, "remark-check", "10", "--format", fmt)
     assert code == 2 and out == ""
-    assert "covers only 3 of the 25 terms of Sequence 1 (mod3) under H1" in err
-    # the stated order is the least one that covers every term
-    needed = int(err.split("from order ")[1].split()[0])
-    assert run(capsys, "remark-check", str(needed))[0] == 0
-    assert run(capsys, "remark-check", str(needed - 1))[0] == 2
+    assert err == (
+        "error: order 10 leaves published terms uncovered; "
+        "every term is covered from order 56 on\n"
+    )
+    # the stated order is the least one the command serves
+    assert [run(capsys, "remark-check", order)[0] for order in ("55", "56")] == [2, 0]
+
+
+def test_remark_check_refuses_before_any_work(capsys, monkeypatch):
+    def no_work(order):
+        raise AssertionError(f"remark_comparisons({order}) called")
+
+    monkeypatch.setattr(seqcompare, "remark_comparisons", no_work)
+    assert run(capsys, "remark-check", "55") == (
+        2, "", "error: order 55 leaves published terms uncovered; "
+        "every term is covered from order 56 on\n",
+    )
+    with pytest.raises(AssertionError, match=r"remark_comparisons\(56\) called"):
+        main(["remark-check", "56"])
 
 
 def test_remark_check_json(capsys):

@@ -3,12 +3,13 @@
 ``fixtures/cli_golden.json`` lists about 300 invocations of every
 subcommand at orders <= 60, with the stdout and exit code each produced
 when the corpus was captured.  ``{fixtures}`` in an argument stands for the
-fixtures directory.  Stderr is not pinned, so error wording may change.
+fixtures directory.  Stderr is not pinned, so error wording may change, but
+it must stay empty on every invocation that succeeds.
 
 ``fixtures/expand_digests.json`` pins every coefficient at higher orders: the
 sha256 of the stdout of ``echopart expand <family> N`` per family, at
-N = 4000 (checked here) and N = 20000 (checked by CI).  A change that moves
-a coefficient regenerates it and says so.
+N = 4000 and N = 20000, both checked here.  A change that moves a
+coefficient regenerates it and says so.
 """
 
 import hashlib
@@ -31,11 +32,18 @@ def test_golden_invocation(capsys, case):
         code = main(argv)
     except SystemExit as exc:  # argparse rejects bad arguments this way
         code = exc.code
-    assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (case["exit"], case["stdout"])
+    if code == 0:
+        assert captured.err == ""
 
 
-@pytest.mark.parametrize("family", DIGESTS["4000"])
-def test_expand_digest(capsys, family):
-    assert main(["expand", family, "4000"]) == 0
+# a case's id is its family at N = 4000 and "<family>-<N>" at any other order
+@pytest.mark.parametrize("order, family", [
+    pytest.param(order, family, id=family if order == "4000" else f"{family}-{order}")
+    for order, digests in DIGESTS.items() for family in digests
+])
+def test_expand_digest(capsys, order, family):
+    assert main(["expand", family, order]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == DIGESTS["4000"][family]
+    assert digest == DIGESTS[order][family]

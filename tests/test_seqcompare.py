@@ -19,6 +19,7 @@ from echopart import (
     render_bfile,
     write_bfile,
 )
+from echopart.seqcompare import FULL_COVERAGE_ORDER
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -229,6 +230,16 @@ def test_remark_comparisons_structure():
                     assert record.computed == 1  # the empty partition
                 else:
                     assert record.computed == coeffs[record.n]
+
+
+def test_full_coverage_order_is_the_least_covering_order():
+    """The order remark-check refuses below: at it every hypothesis of both
+    published lists covers all 25 terms, one below it some hypothesis does not."""
+    def coverage(order):
+        return {hyp.covered for c in remark_comparisons(order) for hyp in c.hypotheses}
+
+    assert coverage(FULL_COVERAGE_ORDER) == {25}
+    assert min(coverage(FULL_COVERAGE_ORDER - 1)) < 25
 
 
 def test_remark_comparisons_are_deterministic():
