@@ -38,7 +38,7 @@ def _json_text(obj: object) -> str:
 
 def cmd_expand(args: argparse.Namespace) -> tuple[str, int]:
     try:
-        family = Family.from_token(args.expression.replace(" ", ""))
+        family = Family.from_token(args.expression)
     except ValueError:
         series = evaluate(args.expression, args.order)
     else:
@@ -76,7 +76,7 @@ def _report_line(report: VerificationReport) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    every = args.family.strip().lower() == "all"  # as Family.from_token reads a token
+    every = args.family.strip().replace(" ", "").lower() == "all"  # as Family.from_token reads one
     selected = list(Family) if every else [Family.from_token(args.family)]
     reports = [families.verify(family, args.order) for family in selected]
     disagreeing = sum(not r.all_equal for r in reports)

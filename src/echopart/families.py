@@ -50,7 +50,7 @@ class Family(Enum):
     @classmethod
     def from_token(cls, text: str) -> Family:
         try:
-            return cls(text.strip().lower().replace("_", "-"))
+            return cls(text.strip().replace(" ", "").lower().replace("_", "-"))
         except ValueError:
             known = ", ".join(f.value for f in cls)
             raise ValueError(f"unknown family {text!r} (expected one of: {known})") from None

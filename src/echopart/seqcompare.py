@@ -61,9 +61,6 @@ class BFile:
         if not self.values:
             raise ValueError("a b-file needs at least one term")
 
-    def terms(self) -> list[tuple[int, int]]:
-        return [(self.offset + i, v) for i, v in enumerate(self.values)]
-
 
 def parse_bfile(text: str) -> BFile:
     """Parse b-file text; malformed lines are rejected with their line number."""
@@ -94,7 +91,7 @@ def read_bfile(path: str | Path) -> BFile:
 
 
 def render_bfile(bfile: BFile) -> str:
-    return "".join(f"{index} {value}\n" for index, value in bfile.terms())
+    return "".join(f"{index} {value}\n" for index, value in enumerate(bfile.values, bfile.offset))
 
 
 def write_bfile(bfile: BFile, path: str | Path) -> None:

@@ -70,7 +70,9 @@ MUTANTS = [
      'encoding="utf-8-sig", errors="replace"', 'encoding="utf-8-sig"',
      ["test_seqcompare", "test_cli"]),
     ("from_token: no _ to - rewrite", "families.py",
-     'text.strip().lower().replace("_", "-")', "text.strip().lower()", ["test_families"]),
+     '.lower().replace("_", "-")', ".lower()", ["test_families"]),
+    ("from_token: inner spaces kept", "families.py",
+     'text.strip().replace(" ", "")', "text.strip()", ["test_cli"]),
     ("RECIPES: odd's step 2 instead of 4", "families.py",
      "1/(q^2;q^4)", "1/(q^2;q^2)", ["test_families"]),
     ("RECIPES: mod3's second parameter without its sign", "families.py",

@@ -11,7 +11,11 @@ of partitions of l into distinct parts, for every l <= 2000.
 - Euler's distinct = odd and Schur's distinct +-1 (mod 3) = +-1 (mod 6)
   on count_upto at limit 2000, beyond acceptance criterion 4's 300.
 - Rademacher's exact series for p(l) (rademacher.py) at five l up to 2000.
+
+ceiling.py applies the same checks at cli.MAX_ORDER, outside pytest.
 """
+
+from math import isqrt
 
 import pytest
 
@@ -21,6 +25,7 @@ from rademacher import partition_count
 ORDER = 4000
 LIMIT = ORDER // 2
 ROUTES = ["genfun", "direct"]
+CONGRUENCES = [(5, 4), (7, 5), (11, 6)]  # p(modulus*k + residue) = 0 (mod modulus)
 
 
 @pytest.fixture(scope="module")
@@ -34,12 +39,26 @@ def counts(report, route):
     return [c + 1 for c in getattr(report, route)[::2]]
 
 
+def congruence_breaks(p, modulus, residue):
+    """Each l = residue (mod modulus) at which p(l) is not 0 (mod modulus)."""
+    return [ell for ell in range(residue, len(p), modulus) if p[ell] % modulus]
+
+
+def parity_breaks(q):
+    """Each l at which q(l) is odd and l is not a generalized pentagonal
+    number k(3k-1)/2, or q(l) is even and l is one."""
+    # k(3k-1)/2 >= k*k > len(q) - 1 once |k| > isqrt(len(q) - 1)
+    r = isqrt(len(q) - 1)
+    pentagonal = {k * (3 * k - 1) // 2 for k in range(-r, r + 1)}
+    return [ell for ell, value in enumerate(q) if (value % 2 == 1) != (ell in pentagonal)]
+
+
 @pytest.mark.parametrize("route", ROUTES)
-@pytest.mark.parametrize("modulus, residue", [(5, 4), (7, 5), (11, 6)])
+@pytest.mark.parametrize("modulus, residue", CONGRUENCES)
 def test_ramanujan_congruences(reports, route, modulus, residue):
     p = counts(reports[Family.PLAIN], route)
     assert len(p) == LIMIT + 1 and p[:10] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
-    assert [ell for ell in range(residue, LIMIT + 1, modulus) if p[ell] % modulus] == []
+    assert congruence_breaks(p, modulus, residue) == []
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -52,11 +71,7 @@ def test_rademacher_series(reports, route, ell):
 def test_distinct_partitions_are_odd_at_pentagonal_numbers(reports, route):
     q = counts(reports[Family.DISTINCT], route)
     assert len(q) == LIMIT + 1 and q[:10] == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8]
-    # k(3k-1)/2 > 2000 once |k| >= 37
-    pentagonal = sorted(k * (3 * k - 1) // 2 for k in range(-37, 38))
-    assert [ell for ell, value in enumerate(q) if value % 2] == [
-        e for e in pentagonal if e <= LIMIT
-    ]
+    assert parity_breaks(q) == []
 
 
 @pytest.mark.parametrize(

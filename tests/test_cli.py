@@ -187,9 +187,22 @@ def test_verify_all(capsys):
         assert any(line.startswith(f"{family.value}:") for line in lines)
 
 
-@pytest.mark.parametrize("token", ["ALL", " all", "All "])
+@pytest.mark.parametrize("token", ["ALL", " all", "All ", " a ll "])
 def test_verify_all_token_read_like_a_family_token(capsys, token):
     assert run(capsys, "verify", token, "10") == run(capsys, "verify", "all", "10")
+
+
+@pytest.mark.parametrize(
+    "spaced, plain",
+    [(["verify", " mod 3 ", "10"], ["verify", "mod3", "10"]),
+     (["bfile-export", "odd - distinct", "--order", "12"],
+      ["bfile-export", "odd-distinct", "--order", "12"])],
+    ids=["verify", "bfile-export"],
+)
+def test_every_command_reads_a_family_token_by_one_rule(capsys, spaced, plain):
+    """Case, spaces and _ are ignored alike by every command, not only by expand."""
+    expected = run(capsys, *plain)
+    assert expected[0] == 0 and run(capsys, *spaced) == expected
 
 
 def test_verify_order_zero(capsys):
@@ -269,11 +282,8 @@ def test_table_8(capsys):
     assert "A357457" in row("odd-distinct")
 
 
-def test_table_counts_by_enumeration_alone(capsys, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("table ran the partition DP")
-
-    monkeypatch.setattr(partitions_module, "count_upto", forbidden)
+def test_table_counts_by_enumeration_alone(capsys, refuse):
+    refuse(partitions_module, "count_upto")
     golden = next(case for case in GOLDEN if case["argv"] == ["table", "8"])
     assert run(capsys, "table", "8") == (0, golden["stdout"], "")
 
@@ -324,11 +334,8 @@ def test_remark_check_rejects_partial_coverage(capsys, fmt):
     assert [run(capsys, "remark-check", order)[0] for order in ("55", "56")] == [2, 0]
 
 
-def test_remark_check_refuses_before_any_work(capsys, monkeypatch):
-    def no_work(order):
-        raise AssertionError(f"remark_comparisons({order}) called")
-
-    monkeypatch.setattr(seqcompare, "remark_comparisons", no_work)
+def test_remark_check_refuses_before_any_work(capsys, refuse):
+    refuse(seqcompare, "remark_comparisons")
     assert run(capsys, "remark-check", "55") == (
         2, "", "error: order 55 leaves published terms uncovered; "
         "every term is covered from order 56 on\n",

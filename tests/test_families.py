@@ -245,15 +245,8 @@ def test_corrupted_recipe_report_is_pinned(monkeypatch):
     }
 
 
-def test_records_are_built_on_first_read_only(monkeypatch):
-    built = []
-    original = families_module.CoefficientRecord
-
-    def counting(*args):
-        built.append(args[0])
-        return original(*args)
-
-    monkeypatch.setattr(families_module, "CoefficientRecord", counting)
+def test_records_are_built_on_first_read_only(spy):
+    built = spy(families_module, "CoefficientRecord", lambda n, *rest: n)
     report = verify(Family.MOD6, 40)
     assert report.genfun == report.direct == tuple(direct_counts_upto(Family.MOD6, 40))
     assert report.all_equal and report.mismatches == () and report.first_mismatch() is None
@@ -263,7 +256,7 @@ def test_records_are_built_on_first_read_only(monkeypatch):
     assert built == list(range(41))
     assert report.records is records
     assert built == list(range(41))
-    assert records == tuple(original(n, g, g) for n, g in enumerate(report.genfun))
+    assert records == tuple(CoefficientRecord(n, g, g) for n, g in enumerate(report.genfun))
 
 
 # The paper's product for each family, as (factors, inverted) for
@@ -288,35 +281,20 @@ def test_recipe_quotient_is_the_paper_product(family, order):
     assert list(evaluate(product, order).coeffs) == expected
 
 
-def test_closed_form_route_never_counts_partitions(monkeypatch):
+def test_closed_form_route_never_counts_partitions(refuse):
     """The closed forms must not lean on the DP they are checked against."""
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("closed-form route called the partition DP")
-
-    monkeypatch.setattr(partitions_module, "count_upto", forbidden)
-    monkeypatch.setattr(partitions_module, "count", forbidden)
+    refuse(partitions_module, "count_upto", "count")
     for family in Family:
         series = genfun_series(family, 200)
         assert list(series.coeffs[:31:2]) == EXPECTED_EVEN[family]
 
 
-def test_recipe_quotients_divide_once_and_never_multiply(monkeypatch):
+def test_recipe_quotients_divide_once_and_never_multiply(spy, refuse):
     """No recipe multiplies two series; only plain's reciprocal goes
     through invert(), at half the order, since every recipe is a series in
     q^2.  A term with an odd exponent keeps the full order."""
-    inverted = []
-    original = TruncatedSeries.invert
-
-    def refuse(self, other):
-        raise AssertionError("a recipe multiplied two series")
-
-    def counting(self):
-        inverted.append(self.order)
-        return original(self)
-
-    monkeypatch.setattr(TruncatedSeries, "__mul__", refuse)
-    monkeypatch.setattr(TruncatedSeries, "invert", counting)
+    refuse(TruncatedSeries, "__mul__")
+    inverted = spy(TruncatedSeries, "invert", lambda self: self.order)
     for family in Family:
         evaluate(families_module.RECIPES[family], 60)
     evaluate(families_module.RECIPES[Family.PLAIN] + " - q/(1-q^2)", 60)

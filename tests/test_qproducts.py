@@ -367,23 +367,13 @@ def test_the_common_factor_reads_every_exponent(text):
         assert evaluate(text, order) == direct(order), order
 
 
-def test_evaluate_calls_the_builders_denominator_first(monkeypatch):
+def test_evaluate_calls_the_builders_denominator_first(spy):
     """A quotient expands and inverts its denominator before the numerator.
     Exponents sharing g = 2 reach the builders halved, spaces or not; a q^1
     leaves g = 1 and the specs as written."""
-    calls = []
-
-    def recording(name):
-        original = getattr(qproducts, name)
-
-        def record(spec, order):
-            calls.append((name, spec))
-            return original(spec, order)
-
-        return record
-
-    monkeypatch.setattr(qproducts, "pochhammer", recording("pochhammer"))
-    monkeypatch.setattr(qproducts, "geometric", recording("geometric"))
+    calls = []  # one log for both builders, so their order shows
+    spy(qproducts, "pochhammer", lambda spec, order: calls.append(("pochhammer", spec)))
+    spy(qproducts, "geometric", lambda spec, order: calls.append(("geometric", spec)))
     for text in ("(q^4;q^4)/(q^2;q^2) - q^2/(1-q^4)", "(q ^ 4;q ^ 4)/(q^2;q^2) - q^2/(1-q^4)"):
         evaluate(text, 10)
         assert calls == [
@@ -482,18 +472,11 @@ def test_by_symbol_multiplies_any_series(case, inverse):
     lambda order: pochhammer(PochhammerSpec(((-1, 1, 1), (-1, 3, 1))), order),
     lambda order: evaluate("1/(-q,-q^3;q)", order),
 ], ids=["pochhammer", "quotient"])
-def test_a_symbol_applied_to_1_is_handed_one_cell(monkeypatch, expand):
+def test_a_symbol_applied_to_1_is_handed_one_cell(spy, expand):
     """The first symbol of a dense product or reciprocal gets F = 1 as one
     cell, so Horner's rule adds nothing there; the second gets the whole
     series the first returned."""
-    lengths = []
-    by_symbol = qproducts._by_symbol
-
-    def recording(coeffs, *args, **kwargs):
-        lengths.append(len(coeffs))
-        return by_symbol(coeffs, *args, **kwargs)
-
-    monkeypatch.setattr(qproducts, "_by_symbol", recording)
+    lengths = spy(qproducts, "_by_symbol", lambda coeffs, *args, **kwargs: len(coeffs))
     expand(50)
     assert lengths == [1, 51]
 
@@ -534,19 +517,12 @@ def _ceil_sqrt(x):
     [("(-q;q)", _ceil_sqrt(2 * MAX_ORDER)),          # one per Euler term
      ("1/(-q,-q^2;q)", 2 * _ceil_sqrt(MAX_ORDER))],  # two per Cauchy term
 )
-def test_dense_symbols_take_about_sqrt_n_divisions(monkeypatch, text, per_symbol):
+def test_dense_symbols_take_about_sqrt_n_divisions(spy, text, per_symbol):
     """An op count, not a clock: at step m = 1, _over runs at most
     ceil(sqrt(2N)) times for a product's symbol and 2 ceil(sqrt(N)) times
     for a reciprocal's, both within 2 ceil(sqrt(2N/m)); dividing binomial
     by binomial took N divisions per symbol."""
-    calls = []
-    original = qproducts._over
-
-    def counting(coeffs, sign, e):
-        calls.append(e)
-        original(coeffs, sign, e)
-
-    monkeypatch.setattr(qproducts, "_over", counting)
+    calls = spy(qproducts, "_over", lambda coeffs, sign, e: e)
     evaluate(text, MAX_ORDER)
     assert len(calls) <= (text.count(",") + 1) * per_symbol
 
@@ -562,32 +538,15 @@ def test_dense_symbols_take_about_sqrt_n_divisions(monkeypatch, text, per_symbol
         ("(-q;q^3)/(q,q^2;q^4)", [((-1, 1, 3),)]),
     ],
 )
-def test_dense_denominators_are_divided_never_expanded_or_inverted(monkeypatch, text, expanded):
-    specs = []
-    original = qproducts.pochhammer
-
-    def recording(spec, order):
-        specs.append(spec.factors)
-        return original(spec, order)
-
-    def refuse(self):
-        raise AssertionError("a dense denominator reached invert()")
-
-    monkeypatch.setattr(qproducts, "pochhammer", recording)
-    monkeypatch.setattr(TruncatedSeries, "invert", refuse)
+def test_dense_denominators_are_divided_never_expanded_or_inverted(spy, refuse, text, expanded):
+    specs = spy(qproducts, "pochhammer", lambda spec, order: spec.factors)
+    refuse(TruncatedSeries, "invert")
     evaluate(text, 60)
     assert specs == expanded
 
 
-def test_theta_reciprocals_still_invert_once(monkeypatch):
-    calls = []
-    original = TruncatedSeries.invert
-
-    def counting(self):
-        calls.append(self.order)
-        return original(self)
-
-    monkeypatch.setattr(TruncatedSeries, "invert", counting)
+def test_theta_reciprocals_still_invert_once(spy):
+    calls = spy(TruncatedSeries, "invert", lambda self: self.order)
     for s in range(1, 7):
         evaluate(f"1/(q^{s};q^{s})", 60)  # a series in q^s, inverted at order 60 // s
     assert calls == [60, 30, 20, 15, 12, 10]
@@ -626,12 +585,8 @@ def test_evaluate_names_the_unparsed_remainder_of_a_bad_factor(text, remainder):
      ("q/(1-q^2) + 1/(q;q^0)", "^factor step must be >= 1, got 0$"),
      ("(q;q)/(-q;q) - 1/(1-q^0)", "^period must be >= 1, got 0$")],
 )
-def test_evaluate_rejects_bad_text_before_expanding_any_term(monkeypatch, text, message):
-    def refuse(spec, order):
-        raise AssertionError("a term was expanded before the whole text was parsed")
-
-    monkeypatch.setattr(qproducts, "pochhammer", refuse)
-    monkeypatch.setattr(qproducts, "geometric", refuse)
+def test_evaluate_rejects_bad_text_before_expanding_any_term(refuse, text, message):
+    refuse(qproducts, "pochhammer", "geometric")
     with pytest.raises(ValueError, match=message):
         evaluate(text, 20000)
 

@@ -33,7 +33,7 @@ def test_parse_basic():
     b = parse_bfile("0 1\n1 4\n2 9\n")
     assert b.offset == 0
     assert b.values == (1, 4, 9)
-    assert b.terms() == [(0, 1), (1, 4), (2, 9)]
+    assert render_bfile(b) == "0 1\n1 4\n2 9\n"
 
 
 def test_parse_skips_comments_and_blanks():

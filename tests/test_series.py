@@ -77,17 +77,10 @@ def test_multiplication_truncates():
     assert (b * c).coeffs == (1, 0, 0)
 
 
-def test_scalar_product_is_one_pass(monkeypatch):
+def test_scalar_product_is_one_pass(spy):
     """k * s and s * k run one pass over s: the scalar is the outer operand."""
-    calls = []
-    original = series_module.add
-
-    def counting(a, b):
-        calls.append(None)
-        return original(a, b)
-
     s = TruncatedSeries(tuple(range(1, 52)))
-    monkeypatch.setattr(series_module, "add", counting)
+    calls = spy(series_module, "add")
     for product in (lambda: 3 * s, lambda: s * 3):
         calls.clear()
         assert product().coeffs == tuple(3 * c for c in s.coeffs)
@@ -117,17 +110,10 @@ def test_invert_requires_unit_constant():
         TruncatedSeries((0, 1)).invert()
 
 
-def test_invert_constructs_only_its_result(monkeypatch):
+def test_invert_constructs_only_its_result(spy):
     """invert() divides into a plain list: the one series it builds is the inverse."""
-    built = []
-    original = TruncatedSeries.__post_init__
-
-    def counting(self):
-        built.append(self.coeffs)
-        original(self)
-
     s = TruncatedSeries((1, 3, -2, 7, 0, 5))
-    monkeypatch.setattr(TruncatedSeries, "__post_init__", counting)
+    built = spy(TruncatedSeries, "__post_init__", lambda self: self.coeffs)
     inverse = s.invert()
     assert built == [inverse.coeffs]
 
