@@ -76,7 +76,7 @@ def _report_line(report: VerificationReport) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    every = args.family.strip().replace(" ", "").lower() == "all"  # as Family.from_token reads one
+    every = Family.normalise(args.family) == "all"
     selected = list(Family) if every else [Family.from_token(args.family)]
     reports = [families.verify(family, args.order) for family in selected]
     disagreeing = sum(not r.all_equal for r in reports)

@@ -47,10 +47,13 @@ class Family(Enum):
     MOD3 = "mod3"
     MOD6 = "mod6"
 
+    @staticmethod
+    def normalise(text: str) -> str:
+        return text.strip().replace(" ", "").lower().replace("_", "-")
     @classmethod
     def from_token(cls, text: str) -> Family:
         try:
-            return cls(text.strip().replace(" ", "").lower().replace("_", "-"))
+            return cls(cls.normalise(text))
         except ValueError:
             known = ", ".join(f.value for f in cls)
             raise ValueError(f"unknown family {text!r} (expected one of: {known})") from None

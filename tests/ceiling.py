@@ -2,13 +2,16 @@
 
     python3 tests/ceiling.py
 
-With echopart importable (installed, or ``src`` on ``PYTHONPATH``), it runs
-``verify`` for plain and distinct at ``cli.MAX_ORDER`` = 20000 and applies
-test_classical.py's checks to both routes for every l <= 10000: Ramanujan's
-three congruences on p(l), the pentagonal parity of q(l), and p(10000) by
-Rademacher's series (rademacher.py).  It prints one line per check and
-exits 1 when any fails.  It takes 3-4 s (CPython 3.11, 2-core VM), so CI's
-ceiling step runs it; tier-1 runs the same checks at order 4000.
+It runs from a plain checkout: it puts ``src`` ahead of any installed
+echopart on the import path.  It runs ``verify`` for all six families at
+``cli.MAX_ORDER`` = 20000 and applies test_classical.py's checks to both
+routes for every l <= 10000: Ramanujan's three congruences on p(l), the
+pentagonal parity of q(l) and p(10000) by Rademacher's series
+(rademacher.py) on plain and distinct, and the pentagonal certificate
+(F*E1 = 1, F*E1 = E2, F*E1*E4 = E2*E2 or F*E1*E6 = E2*E3) on every
+family.  It prints one line per check, 22 in all, and exits 1 when any
+fails.  It takes 7.5-9.5 s (CPython 3.11, 2-core VM), so CI's ceiling step
+runs it; tier-1 runs the same checks at order 4000.
 
 The file name does not start with ``test_``, so pytest never collects it.
 """
@@ -16,18 +19,31 @@ The file name does not start with ``test_``, so pytest never collects it.
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
-from echopart import Family, verify
-from echopart.cli import MAX_ORDER
-from rademacher import partition_count
-from test_classical import CONGRUENCES, ROUTES, congruence_breaks, counts, parity_breaks
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from echopart import Family, verify  # noqa: E402
+from echopart.cli import MAX_ORDER  # noqa: E402
+from rademacher import partition_count  # noqa: E402
+from test_classical import (  # noqa: E402
+    CERTIFICATES, CONGRUENCES, ROUTES, certificate_breaks, congruence_breaks, counts,
+    parity_breaks,
+)
 
 LIMIT = MAX_ORDER // 2
 
 
+def identity(family):
+    """The family's certificate as text, e.g. "F*E1*E6 = E2*E3"."""
+    _, left, right = CERTIFICATES[family]
+    product = "*".join(f"E{m}" for m in right) or "1"
+    return "*".join(["F", *(f"E{m}" for m in left)]) + " = " + product
+
+
 def checks(reports):
     """Yield (check, the l it fails at) for each check on both routes of
-    ``reports``, plain's and distinct's at MAX_ORDER."""
+    ``reports``, every family's at MAX_ORDER."""
     rademacher = partition_count(LIMIT)
     for route in ROUTES:
         p = counts(reports[Family.PLAIN], route)
@@ -38,10 +54,13 @@ def checks(reports):
                parity_breaks(counts(reports[Family.DISTINCT], route)))
         yield (f"{route}: p({LIMIT}) by Rademacher's series",
                [] if p[LIMIT] == rademacher else [LIMIT])
+        for family in Family:
+            yield (f"{route}: {family.value}: {identity(family)} to q^{LIMIT}",
+                   certificate_breaks(family, getattr(reports[family], route)))
 
 
 def main() -> int:
-    reports = {family: verify(family, MAX_ORDER) for family in (Family.PLAIN, Family.DISTINCT)}
+    reports = {family: verify(family, MAX_ORDER) for family in Family}
     failed = 0
     for check, breaks in checks(reports):
         failed += bool(breaks)

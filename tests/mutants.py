@@ -69,10 +69,12 @@ MUTANTS = [
     ("read_bfile: a byte that is not UTF-8 stops the read", "seqcompare.py",
      'encoding="utf-8-sig", errors="replace"', 'encoding="utf-8-sig"',
      ["test_seqcompare", "test_cli"]),
-    ("from_token: no _ to - rewrite", "families.py",
+    ("normalise: no _ to - rewrite", "families.py",
      '.lower().replace("_", "-")', ".lower()", ["test_families"]),
-    ("from_token: inner spaces kept", "families.py",
+    ("normalise: inner spaces kept", "families.py",
      'text.strip().replace(" ", "")', "text.strip()", ["test_cli"]),
+    ("cmd_verify: all read as typed, not by the family-token rule", "cli.py",
+     'Family.normalise(args.family) == "all"', 'args.family == "all"', ["test_cli"]),
     ("RECIPES: odd's step 2 instead of 4", "families.py",
      "1/(q^2;q^4)", "1/(q^2;q^2)", ["test_families"]),
     ("RECIPES: mod3's second parameter without its sign", "families.py",

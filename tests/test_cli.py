@@ -187,9 +187,20 @@ def test_verify_all(capsys):
         assert any(line.startswith(f"{family.value}:") for line in lines)
 
 
-@pytest.mark.parametrize("token", ["ALL", " all", "All ", " a ll "])
+@pytest.mark.parametrize("token", ["ALL", " all", "All ", " a ll ", "\tAll\n"])
 def test_verify_all_token_read_like_a_family_token(capsys, token):
-    assert run(capsys, "verify", token, "10") == run(capsys, "verify", "all", "10")
+    assert run(capsys, "verify", token, "40") == run(capsys, "verify", "all", "40")
+
+
+@pytest.mark.parametrize("token", ["a_ll", "al-l"])
+def test_verify_all_token_takes_no_underscore_or_hyphen(capsys, token):
+    """_ reads as -, as in a family token, and no family is spelled a-ll."""
+    assert run(capsys, "verify", token, "40") == (
+        2,
+        "",
+        f"error: unknown family {token!r} (expected one of: "
+        "plain, distinct, odd, odd-distinct, mod3, mod6)\n",
+    )
 
 
 @pytest.mark.parametrize(
