@@ -246,10 +246,20 @@ def _quotient(num: PochhammerSpec | None, den: PochhammerSpec, order: int) -> Tr
     return TruncatedSeries(tuple(coeffs))
 
 
+def _unparsed(text: str, rest: str) -> ValueError:
+    """The error for text that stops parsing at rest."""
+    return ValueError(
+        f"cannot parse {text!r} at {rest!r}: expected a signed sum of "
+        "integers, combs like q^2/(1-q^4) and q-products like (-q^2,-q^4;q^6), "
+        "1/(q^2;q^2) or (q^4;q^4)/(q^2;q^2)"
+    )
+
+
 def evaluate(text: str, order: int) -> TruncatedSeries:
     """Expand a signed sum of q-expression terms to the given order.
 
-    Terms, spaces ignored:
+    Terms, with spaces between tokens ignored and a space between two
+    digits refused, so "q^1 2" is never read as q^12:
       3                    an integer constant
       q^2/(1-q^4)          a comb; 1/(1-q^4) is q^0/(1-q^4)
       (-q^2,-q^4;q^6)      a Pochhammer symbol; '-' makes a factor (1 + ...)
@@ -270,6 +280,8 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
+    if split := re.search(r"\d +\d", text):  # dropping the spaces would join the digits
+        raise _unparsed(text, text[split.start() :])
     compact = text.strip().replace(" ", "")
     g = gcd(*map(_exponent, re.findall(_POWER, compact))) or 1
     term = re.compile(_TERM)
@@ -277,11 +289,7 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
     while not terms or pos < len(compact):
         m = term.match(compact, pos)
         if m is None or (terms and not m[1]):
-            raise ValueError(
-                f"cannot parse {text!r} at {compact[pos:]!r}: expected a signed sum of "
-                "integers, combs like q^2/(1-q^4) and q-products like (-q^2,-q^4;q^6), "
-                "1/(q^2;q^2) or (q^4;q^4)/(q^2;q^2)"
-            )
+            raise _unparsed(text, compact[pos:])
         pos = m.end()
         sign, constant, k, d, over, num, num_step, sym, sym_step = m.groups()
         if constant is not None:

@@ -137,6 +137,8 @@ MUTANTS = [
      "terms.append((sign, expand))",
      "terms.append((sign, partial(lambda value, _: value, expand(order // g))))",
      ["test_qproducts"]),
+    ("evaluate: a space inside a number joins its digits", "qproducts.py",
+     r'if split := re.search(r"\d +\d", text):', "if False:", ["test_qproducts"]),
     ("evaluate: g read without a caret-less q", "qproducts.py",
      "re.findall(_POWER, compact)", 're.findall(r"q\\^\\d+", compact)', ["test_qproducts"]),
     ("evaluate: the sum in q^g packed at the bottom, not spread", "qproducts.py",

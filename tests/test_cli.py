@@ -118,6 +118,14 @@ def test_expand_rejects_a_bad_factor(capsys, text):
     assert err.startswith(f"error: cannot parse {text!r} at {text!r}")
 
 
+def test_expand_rejects_a_space_inside_a_number(capsys):
+    """Spaces are dropped between tokens only: "1 2" is not the constant 12."""
+    code, out, err = run(capsys, "expand", "1 2", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot parse '1 2' at '1 2'")
+
+
 def test_expand_rejects_negative_order(capsys):
     code, _, err = run(capsys, "expand", "plain", "-3")
     assert code == 2

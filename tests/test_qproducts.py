@@ -560,7 +560,8 @@ def test_theta_reciprocals_still_invert_once(spy):
     "text",
     ["((q;q)", "--q", "(q^0;q)", "(q;q^0)", "1/(1-q^0)", "", " ", "(q;q))",
      "(q,;q)", "(;q)", "q^2", "1/(q;q)/(q;q)", "(q;q)(q;q)", "2(q;q)",
-     "12/(q;q)", "(q;q)+", "(q;q)*2", "(q;q)/", "(+q;q)", "plain"],
+     "12/(q;q)", "(q;q)+", "(q;q)*2", "(q;q)/", "(+q;q)", "plain",
+     "1 2", "q^1 2/(1-q)", "(q^1 0;q)"],
 )
 def test_evaluate_rejects_near_misses(text):
     with pytest.raises(ValueError):
@@ -583,12 +584,17 @@ def test_evaluate_names_the_unparsed_remainder_of_a_bad_factor(text, remainder):
     [("(-q;q) + (q;q) +", r"^cannot parse '\(-q;q\) \+ \(q;q\) \+' at '\+'"),
      ("(-q;q) - (q^0;q)", "^factor offset must be >= 1, got 0$"),
      ("q/(1-q^2) + 1/(q;q^0)", "^factor step must be >= 1, got 0$"),
-     ("(q;q)/(-q;q) - 1/(1-q^0)", "^period must be >= 1, got 0$")],
+     ("(q;q)/(-q;q) - 1/(1-q^0)", "^period must be >= 1, got 0$"),
+     ("(q;q) - q^1 2/(1-q)", r"^cannot parse '\(q;q\) - q\^1 2/\(1-q\)' at '1 2/\(1-q\)'")],
 )
 def test_evaluate_rejects_bad_text_before_expanding_any_term(refuse, text, message):
     refuse(qproducts, "pochhammer", "geometric")
     with pytest.raises(ValueError, match=message):
         evaluate(text, 20000)
+
+
+def test_evaluate_ignores_spaces_between_tokens():
+    assert evaluate(" ( -q^2 , -q^4 ; q^6 ) - 1 ", 40) == evaluate("(-q^2,-q^4;q^6)-1", 40)
 
 
 NEAR_GRAMMAR = st.text(alphabet="q^0129()/;,-+ ", max_size=30)
