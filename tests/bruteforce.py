@@ -38,19 +38,7 @@ FAMILY_RULES = {
 def reference_family_count(token: str, n: int) -> int:
     """Count partitions of n whose unique largest part equals the sum of
     the rest, with the rest obeying the family rule.  Pure filtering."""
-    pred, distinct = FAMILY_RULES[token]
-    total = 0
-    for parts in all_partitions(n):
-        if len(parts) < 2 or parts[1] == parts[0]:
-            continue
-        rest = parts[1:]
-        if sum(rest) != parts[0]:
-            continue
-        if distinct and len(set(rest)) != len(rest):
-            continue
-        if all(pred(p) for p in rest):
-            total += 1
-    return total
+    return len(reference_family_partitions(token, n))
 
 
 def reference_family_partitions(token: str, n: int) -> list[tuple[int, ...]]:

@@ -8,6 +8,10 @@ one whose tests run past ``TIMEOUT_S`` seconds counts as killed.  A
 snippet that does not occur exactly once is stale, so an edit to the
 source cannot quietly retire a mutant.  Either exits 1.
 
+The corpus is meant for a tree whose tests pass.  A mutant of a module
+whose tests already fail reads as killed, so CI runs the corpus only after
+the tier-1 suite has passed.
+
 The file name does not start with ``test_``, so pytest never collects it.
 A change that adds a fast path adds a mutant for it here.
 """
@@ -95,6 +99,32 @@ MUTANTS = [
     ("cmd_remark_check: refused at the covering order", "cli.py",
      "if args.order < seqcompare.FULL_COVERAGE_ORDER:",
      "if args.order <= seqcompare.FULL_COVERAGE_ORDER:", ["test_cli"]),
+    ("MAX_ORDER: one above 20000", "cli.py",
+     "MAX_ORDER = 20_000", "MAX_ORDER = 20_001", ["test_cli"]),
+    ("verify: default order one above 200", "cli.py",
+     'nargs="?", type=int, default=200,', 'nargs="?", type=int, default=201,', ["test_cli"]),
+    ("verify: default order one below 200", "cli.py",
+     'nargs="?", type=int, default=200,', 'nargs="?", type=int, default=199,', ["test_cli"]),
+    ("remark-check: default order one above 120", "cli.py",
+     "default=120,", "default=121,", ["test_cli"]),
+    ("remark-check: default order one below 120", "cli.py",
+     "default=120,", "default=119,", ["test_cli"]),
+    ("bfile-export: default order one above 200", "cli.py",
+     'default=200, help=order_help)\n    p.add_argument(\n        "--mode"',
+     'default=201, help=order_help)\n    p.add_argument(\n        "--mode"', ["test_cli"]),
+    ("bfile-export: default order one below 200", "cli.py",
+     'default=200, help=order_help)\n    p.add_argument(\n        "--mode"',
+     'default=199, help=order_help)\n    p.add_argument(\n        "--mode"', ["test_cli"]),
+    ("bfile-compare: default order one above 200", "cli.py",
+     'default=200, help=order_help)\n    _add_common_flags(p, ("text", "json"))\n'
+     "    p.set_defaults(func=cmd_bfile_compare)",
+     'default=201, help=order_help)\n    _add_common_flags(p, ("text", "json"))\n'
+     "    p.set_defaults(func=cmd_bfile_compare)", ["test_cli"]),
+    ("bfile-compare: default order one below 200", "cli.py",
+     'default=200, help=order_help)\n    _add_common_flags(p, ("text", "json"))\n'
+     "    p.set_defaults(func=cmd_bfile_compare)",
+     'default=199, help=order_help)\n    _add_common_flags(p, ("text", "json"))\n'
+     "    p.set_defaults(func=cmd_bfile_compare)", ["test_cli"]),
     ("pochhammer: theta = instead of += for collided exponents", "qproducts.py",
      "coeffs[e] += (-s) ** abs(k)", "coeffs[e] = (-s) ** abs(k)", ["test_qproducts"]),
     ("pochhammer: theta sign", "qproducts.py",

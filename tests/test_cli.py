@@ -176,6 +176,29 @@ def test_order_ceiling_boundary(capsys, monkeypatch, argv):
     assert run(capsys, *(a.format(120) for a in argv))[0] == 0
 
 
+def test_order_ceiling_is_20000(capsys):
+    # the boundary test above moves the ceiling; this one pins its value
+    expected = "error: order must be at most 20000, got 20001\n"
+    assert run(capsys, "expand", "plain", "20001") == (2, "", expected)
+
+
+# each subcommand's output without an order equals its output at the default
+DEFAULT_ORDERS = {
+    "verify": (["verify", "plain"], ["200"]),
+    "remark-check": (["remark-check", "--format", "json"], ["120"]),
+    # mode all, since an even-mode b-file at order 201 equals the one at 200
+    "bfile-export": (["bfile-export", "plain", "--mode", "all"], ["--order", "200"]),
+    "bfile-compare": (["bfile-compare", str(FIXTURES / "b000065.txt"), "plain"],
+                      ["--order", "200"]),
+}
+
+
+@pytest.mark.parametrize("command", DEFAULT_ORDERS)
+def test_default_order(capsys, command):
+    argv, order = DEFAULT_ORDERS[command]
+    assert run(capsys, *argv) == run(capsys, *argv, *order)
+
+
 def test_verify_single_family(capsys):
     code, out, _ = run(capsys, "verify", "plain", "40")
     assert code == 0
