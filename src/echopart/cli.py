@@ -20,6 +20,7 @@ from .partitions import DEFAULT_ENUMERATION_CAP
 from .qproducts import evaluate, geometric, pochhammer  # noqa: F401
 
 MAX_ORDER = 20_000  # the largest order any subcommand accepts
+DEFAULT_ORDER = 200  # verify, bfile-export and bfile-compare without an order
 
 ODD_DISTINCT_TABLE_NOTE = (
     "note: for the odd-distinct family, a published tabulation lists the "
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "family", nargs="?", default="all", help=f"{family_tokens}, or 'all'"
     )
-    p.add_argument("order", nargs="?", type=int, default=200, help=order_help)
+    p.add_argument("order", nargs="?", type=int, default=DEFAULT_ORDER, help=order_help)
     _add_common_flags(p, ("text", "json"))
     p.set_defaults(func=cmd_verify)
 
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bfile-export", help="write a family's sequence as a b-file")
     p.add_argument("family", help=family_tokens)
-    p.add_argument("--order", type=int, default=200, help=order_help)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER, help=order_help)
     p.add_argument(
         "--mode",
         choices=("even", "all", "nonzero"),
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("path", help="local b-file path")
     p.add_argument("family", help=family_tokens)
-    p.add_argument("--order", type=int, default=200, help=order_help)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER, help=order_help)
     _add_common_flags(p, ("text", "json"))
     p.set_defaults(func=cmd_bfile_compare)
 

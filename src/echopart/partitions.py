@@ -107,7 +107,7 @@ def count_upto(limit: int, constraint: Constraint) -> list[int]:
         if constraint.distinct:
             # the right-hand side is built in full first, so every addend is
             # old; setting counts[part] first would use part twice
-            counts[2 * part :] = map(add, counts[2 * part :], counts[part:])
+            counts[2 * part :] = map(add, counts[2 * part :], counts[part : limit + 1 - part])
             counts[part] = 1
         elif part * part <= limit:
             for r in range(part):

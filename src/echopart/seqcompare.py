@@ -74,7 +74,10 @@ def parse_bfile(text: str) -> BFile:
             if line.startswith("#") or line == "":
                 continue
             raise ValueError(f"line {lineno}: malformed b-file line {line!r}")
-        index, value = int(m.group(1)), int(m.group(2))
+        try:
+            index, value = int(m.group(1)), int(m.group(2))
+        except ValueError as exc:  # a number past CPython's int-conversion limit
+            raise ValueError(f"line {lineno}: {exc}") from None
         if offset is None:
             offset = index
         elif index != offset + len(values):

@@ -3,7 +3,9 @@
 Run from anywhere with ``python3 tests/mutants.py``.  Each mutant copies
 ``src/`` to a temporary directory, replaces one exact snippet in one
 source file, and runs ``pytest -x -q`` on the named test modules with the
-copy first on the import path.  A mutant whose tests pass is a survivor;
+copy first on the import path.  Up to four mutants run at once, one per
+CPU, each in its own subprocess; verdicts print in corpus order, each with
+that mutant's own time.  A mutant whose tests pass is a survivor;
 one whose tests run past ``TIMEOUT_S`` seconds counts as killed.  A
 snippet that does not occur exactly once is stale, so an edit to the
 source cannot quietly retire a mutant.  Either exits 1.
@@ -24,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,13 +46,15 @@ MUTANTS = [
     ("count_upto: residue class skipped", "partitions.py",
      "for r in range(part):", "for r in range(1, part):", ["test_partitions"]),
     ("count_upto: distinct pass shifted", "partitions.py",
-     "map(add, counts[2 * part :], counts[part:])",
-     "map(add, counts[2 * part :], counts[part + 1 :])", ["test_partitions"]),
+     "counts[part : limit + 1 - part])", "counts[part + 1 : limit + 2 - part])",
+     ["test_partitions"]),
+    ("count_upto: distinct pass one cell short", "partitions.py",
+     "counts[part : limit + 1 - part])", "counts[part : limit - part])", ["test_partitions"]),
     ("count_upto: distinct single-part cell set before the pass", "partitions.py",
-     "counts[2 * part :] = map(add, counts[2 * part :], counts[part:])\n"
+     "counts[2 * part :] = map(add, counts[2 * part :], counts[part : limit + 1 - part])\n"
      "            counts[part] = 1",
      "counts[part] = 1\n"
-     "            counts[2 * part :] = map(add, counts[2 * part :], counts[part:])",
+     "            counts[2 * part :] = map(add, counts[2 * part :], counts[part : limit + 1 - part])",
      ["test_partitions"]),
     ("count_upto: DP stopping before part 1", "partitions.py",
      "for part in range(limit, 0, -1):", "for part in range(limit, 1, -1):",
@@ -101,30 +106,14 @@ MUTANTS = [
      "if args.order <= seqcompare.FULL_COVERAGE_ORDER:", ["test_cli"]),
     ("MAX_ORDER: one above 20000", "cli.py",
      "MAX_ORDER = 20_000", "MAX_ORDER = 20_001", ["test_cli"]),
-    ("verify: default order one above 200", "cli.py",
-     'nargs="?", type=int, default=200,', 'nargs="?", type=int, default=201,', ["test_cli"]),
-    ("verify: default order one below 200", "cli.py",
-     'nargs="?", type=int, default=200,', 'nargs="?", type=int, default=199,', ["test_cli"]),
+    ("DEFAULT_ORDER: one above 200", "cli.py",
+     "DEFAULT_ORDER = 200", "DEFAULT_ORDER = 201", ["test_cli"]),
+    ("DEFAULT_ORDER: one below 200", "cli.py",
+     "DEFAULT_ORDER = 200", "DEFAULT_ORDER = 199", ["test_cli"]),
     ("remark-check: default order one above 120", "cli.py",
      "default=120,", "default=121,", ["test_cli"]),
     ("remark-check: default order one below 120", "cli.py",
      "default=120,", "default=119,", ["test_cli"]),
-    ("bfile-export: default order one above 200", "cli.py",
-     'default=200, help=order_help)\n    p.add_argument(\n        "--mode"',
-     'default=201, help=order_help)\n    p.add_argument(\n        "--mode"', ["test_cli"]),
-    ("bfile-export: default order one below 200", "cli.py",
-     'default=200, help=order_help)\n    p.add_argument(\n        "--mode"',
-     'default=199, help=order_help)\n    p.add_argument(\n        "--mode"', ["test_cli"]),
-    ("bfile-compare: default order one above 200", "cli.py",
-     'default=200, help=order_help)\n    _add_common_flags(p, ("text", "json"))\n'
-     "    p.set_defaults(func=cmd_bfile_compare)",
-     'default=201, help=order_help)\n    _add_common_flags(p, ("text", "json"))\n'
-     "    p.set_defaults(func=cmd_bfile_compare)", ["test_cli"]),
-    ("bfile-compare: default order one below 200", "cli.py",
-     'default=200, help=order_help)\n    _add_common_flags(p, ("text", "json"))\n'
-     "    p.set_defaults(func=cmd_bfile_compare)",
-     'default=199, help=order_help)\n    _add_common_flags(p, ("text", "json"))\n'
-     "    p.set_defaults(func=cmd_bfile_compare)", ["test_cli"]),
     ("pochhammer: theta = instead of += for collided exponents", "qproducts.py",
      "coeffs[e] += (-s) ** abs(k)", "coeffs[e] = (-s) ** abs(k)", ["test_qproducts"]),
     ("pochhammer: theta sign", "qproducts.py",
@@ -224,13 +213,20 @@ def run(name: str, file: str, snippet: str, replacement: str, modules: list[str]
     return f"error (pytest exit {proc.returncode}: {last})"
 
 
+def timed(mutant: tuple) -> tuple[str, float]:
+    """run(*mutant)'s verdict and its own wall time in seconds."""
+    start = time.perf_counter()
+    verdict = run(*mutant)
+    return verdict, time.perf_counter() - start
+
+
 def main() -> int:
     bad = 0
-    for mutant in MUTANTS:
-        start = time.perf_counter()
-        verdict = run(*mutant)
-        bad += verdict != "killed"
-        print(f"{verdict:<9} {time.perf_counter() - start:5.1f} s  {mutant[0]}", flush=True)
+    # threads suffice: each waits on its pytest subprocess
+    with ThreadPoolExecutor(min(os.cpu_count() or 1, 4)) as pool:
+        for mutant, (verdict, seconds) in zip(MUTANTS, pool.map(timed, MUTANTS)):
+            bad += verdict != "killed"
+            print(f"{verdict:<9} {seconds:5.1f} s  {mutant[0]}", flush=True)
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 

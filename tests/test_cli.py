@@ -199,6 +199,14 @@ def test_default_order(capsys, command):
     assert run(capsys, *argv) == run(capsys, *argv, *order)
 
 
+@pytest.mark.parametrize("command", ["verify", "bfile-export", "bfile-compare"])
+def test_default_order_is_one_constant(capsys, monkeypatch, command):
+    """The three commands that default to 200 all read cli.DEFAULT_ORDER."""
+    monkeypatch.setattr(cli, "DEFAULT_ORDER", 37)
+    argv, order = DEFAULT_ORDERS[command]
+    assert run(capsys, *argv) == run(capsys, *argv, *order[:-1], "37")
+
+
 def test_verify_single_family(capsys):
     code, out, _ = run(capsys, "verify", "plain", "40")
     assert code == 0
@@ -524,6 +532,17 @@ def test_bfile_compare_malformed_reports_line(capsys, tmp_path):
     code, _, err = run(capsys, "bfile-compare", str(path), "plain")
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-conversion limit"
+)
+def test_bfile_compare_names_the_line_of_a_term_past_the_int_limit(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("# comment\n0 1\n1 " + "9" * (sys.get_int_max_str_digits() + 1) + "\n")
+    code, out, err = run(capsys, "bfile-compare", str(path), "plain")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 3: ")
 
 
 def test_genfun_cli_consistency(capsys):

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,19 @@ def test_parse_names_the_expected_index():
     message = r"^line 5: non-contiguous index 9 \(expected 8\)$"
     with pytest.raises(ValueError, match=message):
         parse_bfile("# comment\n5 1\n6 2\n7 3\n9 4\n")
+
+
+# the most digits int() converts from text; 0 where the interpreter sets no limit
+INT_DIGITS_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS_LIMIT, reason="no int-conversion limit")
+@pytest.mark.parametrize("line", ["1 {}", "{} 1"], ids=["value", "index"])
+def test_parse_names_the_line_of_a_number_past_the_int_limit(line):
+    too_long = "9" * (INT_DIGITS_LIMIT + 1)
+    text = "# comment\n0 1\n" + line.format(too_long) + "\n"
+    with pytest.raises(ValueError, match=f"^line 3: .*{INT_DIGITS_LIMIT} digits"):
+        parse_bfile(text)
 
 
 def test_parse_rejects_empty_input():
