@@ -85,12 +85,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         lines = [_report_line(r) for r in reports]
         if disagreeing:
             lines.append(f"RESULT: {disagreeing} of {len(reports)} families disagree")
-        elif len(reports) > 1:
+        elif every:
             lines.append("RESULT: all families agree")
         else:
             lines.append("RESULT: family agrees")
         text = "".join(line + "\n" for line in lines)
-    elif len(reports) == 1:
+    elif not every:
         text = _json_text(reports[0].to_json_dict())
     else:
         text = _json_text(

@@ -218,7 +218,7 @@ def compare_bfile(
     ))
 
 
-def remark_comparisons(order: int = 120) -> list[SequenceComparison]:
+def remark_comparisons(order: int = FULL_COVERAGE_ORDER) -> list[SequenceComparison]:
     """Compare the two published 25-term lists against computed coefficients.
 
     Any order is served; the CLI refuses those below FULL_COVERAGE_ORDER.

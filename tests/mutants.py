@@ -88,6 +88,19 @@ MUTANTS = [
      "1/(q^2;q^4)", "1/(q^2;q^2)", ["test_families"]),
     ("RECIPES: mod3's second parameter without its sign", "families.py",
      "-q^4;q^6", "q^4;q^6", ["test_families"]),
+    ("direct_counts_upto: DP run to the whole limit, not half", "families.py",
+     "partitions.count_upto(limit // 2, constraint)",
+     "partitions.count_upto(limit // 1, constraint)", ["test_families"]),
+    ("direct_count: n = -1 handed on to the DP", "families.py",
+     'if n < 0:\n        raise ValueError(f"n must be non-negative, got {n}")\n    return',
+     'if n < -1:\n        raise ValueError(f"n must be non-negative, got {n}")\n    return',
+     ["test_families"]),
+    ("list_partitions: n = -1 refused as odd", "families.py",
+     'if n < 0:\n        raise ValueError(f"n must be non-negative, got {n}")\n    if n % 2',
+     'if n < -1:\n        raise ValueError(f"n must be non-negative, got {n}")\n    if n % 2',
+     ["test_families"]),
+    ("list_partitions: refused at the enumeration cap", "families.py",
+     "if n > DEFAULT_ENUMERATION_CAP:", "if n >= DEFAULT_ENUMERATION_CAP:", ["test_families"]),
     ("genfun_series: a recipe that calls the DP", "families.py",
      "return evaluate(RECIPES[family], order)",
      "return TruncatedSeries(tuple(direct_counts_upto(family, order)))", ["test_families"]),
@@ -110,6 +123,9 @@ MUTANTS = [
      "DEFAULT_ORDER = 200", "DEFAULT_ORDER = 201", ["test_cli"]),
     ("DEFAULT_ORDER: one below 200", "cli.py",
      "DEFAULT_ORDER = 200", "DEFAULT_ORDER = 199", ["test_cli"]),
+    ("remark_comparisons: default order back to 120", "seqcompare.py",
+     "def remark_comparisons(order: int = FULL_COVERAGE_ORDER)",
+     "def remark_comparisons(order: int = 120)", ["test_seqcompare"]),
     ("remark-check: default order one above 120", "cli.py",
      "default=120,", "default=121,", ["test_cli"]),
     ("remark-check: default order one below 120", "cli.py",
@@ -150,6 +166,16 @@ MUTANTS = [
     ("_quotient: theta quotient drops its numerator", "qproducts.py",
      "return theta.invert() if num is None else pochhammer(num, order) / theta",
      "return theta.invert()", ["test_qproducts"]),
+    ("geometric: order -1 handed on to the series", "qproducts.py",
+     'if order < 0:\n        raise ValueError(f"order must be non-negative, got {order}")\n'
+     "    coeffs = [0] * (order + 1)\n    for e",
+     'if order < -1:\n        raise ValueError(f"order must be non-negative, got {order}")\n'
+     "    coeffs = [0] * (order + 1)\n    for e", ["test_qproducts"]),
+    ("evaluate: order -1 handed on to the parse", "qproducts.py",
+     'if order < 0:\n        raise ValueError(f"order must be non-negative, got {order}")\n'
+     "    if split",
+     'if order < -1:\n        raise ValueError(f"order must be non-negative, got {order}")\n'
+     "    if split", ["test_qproducts"]),
     ("evaluate: grammar without 1/(den)", "qproducts.py",
      "(?:(1|{_SYMBOL})/)?", "(?:({_SYMBOL})/)?", ["test_qproducts"]),
     ("evaluate: each term expanded while parsing", "qproducts.py",

@@ -90,6 +90,8 @@ def test_parity_and_zero(family):
         assert direct_count(family, n) == 0
     with pytest.raises(ValueError):
         direct_count(family, -2)
+    with pytest.raises(ValueError, match="^n must be non-negative, got -1$"):
+        direct_count(family, -1)
 
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
@@ -102,6 +104,14 @@ def test_batched_counts_agree(family):
 def test_batched_counts_reject_negative_limit():
     with pytest.raises(ValueError, match="^limit must be non-negative, got -1$"):
         direct_counts_upto(Family.PLAIN, -1)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 7, 401])
+def test_batched_counts_run_the_dp_once_to_half_the_limit(spy, limit):
+    """Every count sits at n = 2*largest, so the DP stops at limit // 2."""
+    calls = spy(partitions_module, "count_upto")
+    direct_counts_upto(Family.PLAIN, limit)
+    assert calls == [(limit // 2, CONSTRAINTS[Family.PLAIN])]
 
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
@@ -167,8 +177,18 @@ def test_list_partitions_validation():
         list_partitions(Family.PLAIN, 9)
     with pytest.raises(ValueError):
         list_partitions(Family.PLAIN, -2)
+    with pytest.raises(ValueError, match="^n must be non-negative, got -1$"):
+        list_partitions(Family.PLAIN, -1)
     with pytest.raises(ValueError):
         list_partitions(Family.PLAIN, 122)
+
+
+def test_list_partitions_serves_the_enumeration_cap():
+    cap = partitions_module.DEFAULT_ENUMERATION_CAP
+    at_cap = list_partitions(Family.ODD_DISTINCT, cap)
+    assert len(at_cap) == direct_count(Family.ODD_DISTINCT, cap) == 209
+    with pytest.raises(ValueError, match="^n=122 exceeds the enumeration cap 120$"):
+        list_partitions(Family.ODD_DISTINCT, cap + 2)
 
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)

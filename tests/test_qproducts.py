@@ -615,8 +615,14 @@ def test_products_reject_negative_order():
         pochhammer(EULER, -1)
     with pytest.raises(ValueError, match="^order must be non-negative, got -2$"):
         geometric(GeometricSpec(1, 2), -2)
+    with pytest.raises(ValueError, match="^order must be non-negative, got -1$"):
+        geometric(GeometricSpec(0, 1), -1)
 
 
 def test_evaluate_rejects_negative_order():
     with pytest.raises(ValueError, match="order must be non-negative"):
         evaluate("(q;q)", -1)
+    # refused before the parse and before any product sees the order
+    for text in ("1/(-q;q)", "(q;q"):
+        with pytest.raises(ValueError, match="^order must be non-negative, got -1$"):
+            evaluate(text, -1)

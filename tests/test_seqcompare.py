@@ -20,6 +20,7 @@ from echopart import (
     render_bfile,
     write_bfile,
 )
+from echopart import seqcompare
 from echopart.seqcompare import FULL_COVERAGE_ORDER
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -254,6 +255,14 @@ def test_full_coverage_order_is_the_least_covering_order():
 
     assert coverage(FULL_COVERAGE_ORDER) == {25}
     assert min(coverage(FULL_COVERAGE_ORDER - 1)) < 25
+
+
+def test_remark_comparisons_default_to_the_least_covering_order(spy):
+    """Every order from FULL_COVERAGE_ORDER up gives the same comparisons,
+    so the default asks the DP for no more than that."""
+    orders = spy(seqcompare, "direct_counts_upto", lambda family, order: order)
+    assert remark_comparisons() == remark_comparisons(120) == remark_comparisons(400)
+    assert orders[:2] == [FULL_COVERAGE_ORDER] * 2
 
 
 def test_remark_comparisons_are_deterministic():
