@@ -20,6 +20,7 @@ from operator import add
 Partition = tuple[int, ...]
 
 DEFAULT_ENUMERATION_CAP = 120
+ENUMERATION_BOUND = 1_000_000  # at least p(60) = 966,467, the largest enumeration `table` asks for
 
 
 @dataclass(frozen=True)
@@ -130,12 +131,20 @@ def enumerate_partitions(n: int, constraint: Constraint) -> list[Partition]:
     """All constrained partitions of n, in lexicographically decreasing order.
 
     The ordering is part of the contract (stable golden output).  Refuses
-    n beyond DEFAULT_ENUMERATION_CAP, which exists only to bound output size.
+    n beyond DEFAULT_ENUMERATION_CAP and, before any descent, an n with more
+    than ENUMERATION_BOUND partitions (1.8e9 for n = 120, UNRESTRICTED),
+    counted by a loop of its own: `table` counts by enumeration, not the DP.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if n > DEFAULT_ENUMERATION_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
+    sizes = [1] + [0] * n  # partitions of each total into the allowed parts seen so far
+    for part in filter(constraint.allows, range(1, n + 1)):
+        for total in range(n, part - 1, -1) if constraint.distinct else range(part, n + 1):
+            sizes[total] += sizes[total - part]
+    if sizes[n] > ENUMERATION_BOUND:
+        raise ValueError(f"n={n} has {sizes[n]} partitions, above the bound {ENUMERATION_BOUND}")
     out: list[Partition] = []
 
     def descend(remaining: int, max_allowed: int, prefix: Partition) -> None:

@@ -54,7 +54,7 @@ from math import gcd
 from operator import add, sub
 from typing import NamedTuple
 
-from .series import TruncatedSeries, monomial
+from .series import TruncatedSeries, monomial, zero
 
 
 class PochhammerFactor(NamedTuple):
@@ -269,8 +269,8 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
                            coefficient, or by any other symbol by symbol with
                            Cauchy's series, O(order * sqrt(order/m)) for a
                            step q^m, never expanded
-    The first term starts the sum and may carry a sign; every later term
-    is added or subtracted according to its sign.  The whole text is parsed,
+    The sum starts at 0, and each term, the first one too, is added, or
+    subtracted when it carries a '-'.  The whole text is parsed,
     and every spec built, before any term is expanded, so bad input fails
     at once whatever the order.  Before the parse, g is read from the text
     as the gcd of its powers of q (1 if there are none); every exponent is
@@ -302,9 +302,8 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
             num = None if over == "1" else _spec(num, num_step, g)
             expand = partial(_quotient, num, _spec(sym, sym_step, g))
         terms.append((sign, expand))
-    (sign, expand), *rest = terms
-    result = -expand(order // g) if sign == "-" else expand(order // g)
-    for sign, expand in rest:
+    result = zero(order // g)
+    for sign, expand in terms:
         result = result - expand(order // g) if sign == "-" else result + expand(order // g)
     out = [0] * (order + 1)
     out[::g] = result.coeffs

@@ -15,7 +15,7 @@ from __future__ import annotations
 __all__ = ["TruncatedSeries", "monomial", "one", "zero"]
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, neg, sub
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,16 +66,15 @@ class TruncatedSeries:
         raise TypeError(f"cannot combine TruncatedSeries with {type(other).__name__}")
 
     def __add__(self, other: TruncatedSeries | int) -> TruncatedSeries:
-        other = self._coerced(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return TruncatedSeries(tuple(map(add, self.coeffs, self._coerced(other).coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(tuple(-a for a in self.coeffs))
+        return TruncatedSeries(tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other: TruncatedSeries | int) -> TruncatedSeries:
-        return self + (-self._coerced(other))
+        return TruncatedSeries(tuple(map(sub, self.coeffs, self._coerced(other).coeffs)))
 
     def __rsub__(self, other: int) -> TruncatedSeries:
         return self._coerced(other) - self

@@ -10,6 +10,22 @@ one whose tests run past ``TIMEOUT_S`` seconds counts as killed.  A
 snippet that does not occur exactly once is stale, so an edit to the
 source cannot quietly retire a mutant.  Either exits 1.
 
+A mutant on either route's arithmetic that the product's own two-route
+check sees lists ``VERIFY`` among its test modules.  Once its tests fail,
+``python -m echopart verify all 400`` runs on the same mutated copy, and
+an exit 0 reads ``survived (verify)``, so a change that blinds ``verify``
+to such a fault fails the corpus.  Six closed-form faults pass ``verify``
+at 400 and at 4000, because the six recipes use only symbols with sign
+ratio c = +1, only denominators (1 - q^e), Euler's (q^2;q^2) as their one
+theta and no quotient; unit tests against the oracle are their only check:
+- "pochhammer: theta = instead of +=": exponents collide only at a = m/2;
+- "_over: dense division ignores the sign" and "_over: 1/(1 + q^e)
+  rewritten without doubling e": no recipe divides by (1 + q^e);
+- "_by_symbol: Horner's sign power off by one": only c = -1 shows it;
+- "_theta_shape: the two offsets' signs not compared": the one theta has
+  a single factor;
+- "_quotient: theta quotient drops its numerator": no recipe has a quotient.
+
 The corpus is meant for a tree whose tests pass.  A mutant of a module
 whose tests already fail reads as killed, so CI runs the corpus only after
 the tier-1 suite has passed.
@@ -33,34 +49,43 @@ ROOT = Path(__file__).resolve().parent.parent
 # far above the slowest mutant's run, about 15 s
 TIMEOUT_S = 300
 
+# marks a mutant that this command, run on the mutated copy, must catch too
+VERIFY = "verify all 400"
+
 # (what the mutant breaks, file under src/echopart, snippet, replacement, test modules)
 MUTANTS = [
     ("count_upto: block range one short", "partitions.py",
      "for s in range(2 * part, limit + 1, part):",
-     "for s in range(2 * part, limit + 1 - part, part):", ["test_partitions"]),
+     "for s in range(2 * part, limit + 1 - part, part):", ["test_partitions", VERIFY]),
     ("count_upto: blocks starting at part, adding it twice", "partitions.py",
      "for s in range(2 * part, limit + 1, part):",
-     "for s in range(part, limit + 1, part):", ["test_partitions"]),
+     "for s in range(part, limit + 1, part):", ["test_partitions", VERIFY]),
     ("count_upto: block branch without its single-part cell", "partitions.py",
-     "counts[part] = 1\n            for s in", "for s in", ["test_partitions"]),
+     "counts[part] = 1\n            for s in", "for s in", ["test_partitions", VERIFY]),
     ("count_upto: residue class skipped", "partitions.py",
-     "for r in range(part):", "for r in range(1, part):", ["test_partitions"]),
+     "for r in range(part):", "for r in range(1, part):", ["test_partitions", VERIFY]),
     ("count_upto: distinct pass shifted", "partitions.py",
      "counts[part : limit + 1 - part])", "counts[part + 1 : limit + 2 - part])",
-     ["test_partitions"]),
+     ["test_partitions", VERIFY]),
     ("count_upto: distinct pass one cell short", "partitions.py",
-     "counts[part : limit + 1 - part])", "counts[part : limit - part])", ["test_partitions"]),
+     "counts[part : limit + 1 - part])", "counts[part : limit - part])",
+     ["test_partitions", VERIFY]),
     ("count_upto: distinct single-part cell set before the pass", "partitions.py",
      "counts[2 * part :] = map(add, counts[2 * part :], counts[part : limit + 1 - part])\n"
      "            counts[part] = 1",
      "counts[part] = 1\n"
      "            counts[2 * part :] = map(add, counts[2 * part :], counts[part : limit + 1 - part])",
-     ["test_partitions"]),
+     ["test_partitions", VERIFY]),
     ("count_upto: DP stopping before part 1", "partitions.py",
      "for part in range(limit, 0, -1):", "for part in range(limit, 1, -1):",
-     ["test_partitions"]),
+     ["test_partitions", VERIFY]),
     ("enumerate_partitions: descent stopping at 2", "partitions.py",
      "range(min(remaining, max_allowed), 0, -1)", "range(min(remaining, max_allowed), 1, -1)",
+     ["test_partitions"]),
+    ("enumerate_partitions: refused at the count bound", "partitions.py",
+     "if sizes[n] > ENUMERATION_BOUND:", "if sizes[n] >= ENUMERATION_BOUND:", ["test_partitions"]),
+    ("enumerate_partitions: distinct parts counted as repeatable", "partitions.py",
+     "range(n, part - 1, -1) if constraint.distinct", "range(part, n + 1) if constraint.distinct",
      ["test_partitions"]),
     ("compare_published: H3 without the n = 0 substitution", "seqcompare.py",
      "with_empty = [1, *coefficients[1:]][: len(coefficients)]",
@@ -85,9 +110,9 @@ MUTANTS = [
     ("cmd_verify: all read as typed, not by the family-token rule", "cli.py",
      'Family.normalise(args.family) == "all"', 'args.family == "all"', ["test_cli"]),
     ("RECIPES: odd's step 2 instead of 4", "families.py",
-     "1/(q^2;q^4)", "1/(q^2;q^2)", ["test_families"]),
+     "1/(q^2;q^4)", "1/(q^2;q^2)", ["test_families", VERIFY]),
     ("RECIPES: mod3's second parameter without its sign", "families.py",
-     "-q^4;q^6", "q^4;q^6", ["test_families"]),
+     "-q^4;q^6", "q^4;q^6", ["test_families", VERIFY]),
     ("direct_counts_upto: DP run to the whole limit, not half", "families.py",
      "partitions.count_upto(limit // 2, constraint)",
      "partitions.count_upto(limit // 1, constraint)", ["test_families"]),
@@ -133,34 +158,34 @@ MUTANTS = [
     ("pochhammer: theta = instead of += for collided exponents", "qproducts.py",
      "coeffs[e] += (-s) ** abs(k)", "coeffs[e] = (-s) ** abs(k)", ["test_qproducts"]),
     ("pochhammer: theta sign", "qproducts.py",
-     "+= (-s) ** abs(k)", "+= s ** abs(k)", ["test_qproducts"]),
+     "+= (-s) ** abs(k)", "+= s ** abs(k)", ["test_qproducts", VERIFY]),
     ("_over: dense division ignores the sign", "qproducts.py",
      "if sign == -1:", "if False:", ["test_qproducts"]),
     ("_over: dense division one block short", "qproducts.py",
      "for k in range(e, len(coeffs), e):", "for k in range(e, len(coeffs) - e, e):",
-     ["test_qproducts"]),
+     ["test_qproducts", VERIFY]),
     ("_over: running sums skip residue 0", "qproducts.py",
-     "for r in range(e):", "for r in range(1, e):", ["test_qproducts"]),
+     "for r in range(e):", "for r in range(1, e):", ["test_qproducts", VERIFY]),
     ("_over: 1/(1 + q^e) rewritten without doubling e", "qproducts.py",
      "e *= 2", "e *= 1", ["test_qproducts"]),
     ("_by_symbol: Euler's and Cauchy's sign ratios swapped", "qproducts.py",
      "c = sign if inverse else -sign", "c = -sign if inverse else sign",
-     ["test_qproducts"]),
+     ["test_qproducts", VERIFY]),
     ("_by_symbol: reciprocal without its second division", "qproducts.py",
-     "_over(w, sign, a + (j - 1) * m)", "pass", ["test_qproducts"]),
+     "_over(w, sign, a + (j - 1) * m)", "pass", ["test_qproducts", VERIFY]),
     ("_by_symbol: Horner's sign power off by one", "qproducts.py",
      "unit = c ** n", "unit = c ** (n + 1)", ["test_qproducts"]),
     ("_by_symbol: F added one cell short", "qproducts.py",
      "w[: len(coeffs)] = map(add if unit == 1 else sub, w[: len(coeffs)], coeffs)",
      "w[: len(coeffs) - 1] = map(add if unit == 1 else sub, w[: len(coeffs) - 1], coeffs)",
-     ["test_qproducts"]),
+     ["test_qproducts", VERIFY]),
     ("pochhammer: an empty factor list left unpadded", "qproducts.py",
      "tuple(coeffs) + (0,) * (order + 1 - len(coeffs))", "tuple(coeffs)", ["test_qproducts"]),
     ("pochhammer: a symbol applied to 1 handed F at full length", "qproducts.py",
      "coeffs = (1,)\n    for factor in spec.factors:",
      "coeffs = (1,) + (0,) * order\n    for factor in spec.factors:", ["test_qproducts"]),
     ("_by_symbol: reciprocal's exponent step m instead of 2m", "qproducts.py",
-     "(2 if inverse else 1) * n * m", "n * m", ["test_qproducts"]),
+     "(2 if inverse else 1) * n * m", "n * m", ["test_qproducts", VERIFY]),
     ("_theta_shape: the two offsets' signs not compared", "qproducts.py",
      "m1 == m2 == m and s1 == s2 and", "m1 == m2 == m and", ["test_qproducts"]),
     ("_quotient: theta quotient drops its numerator", "qproducts.py",
@@ -177,7 +202,9 @@ MUTANTS = [
      'if order < -1:\n        raise ValueError(f"order must be non-negative, got {order}")\n'
      "    if split", ["test_qproducts"]),
     ("evaluate: grammar without 1/(den)", "qproducts.py",
-     "(?:(1|{_SYMBOL})/)?", "(?:({_SYMBOL})/)?", ["test_qproducts"]),
+     "(?:(1|{_SYMBOL})/)?", "(?:({_SYMBOL})/)?", ["test_qproducts", VERIFY]),
+    ("evaluate: the first term left out of the sum", "qproducts.py",
+     "for sign, expand in terms:", "for sign, expand in terms[1:]:", ["test_qproducts", VERIFY]),
     ("evaluate: each term expanded while parsing", "qproducts.py",
      "terms.append((sign, expand))",
      "terms.append((sign, partial(lambda value, _: value, expand(order // g))))",
@@ -187,9 +214,11 @@ MUTANTS = [
     ("evaluate: g read without a caret-less q", "qproducts.py",
      "re.findall(_POWER, compact)", 're.findall(r"q\\^\\d+", compact)', ["test_qproducts"]),
     ("evaluate: the sum in q^g packed at the bottom, not spread", "qproducts.py",
-     "out[::g] = result.coeffs", "out[: order // g + 1] = result.coeffs", ["test_qproducts"]),
+     "out[::g] = result.coeffs", "out[: order // g + 1] = result.coeffs",
+     ["test_qproducts", VERIFY]),
     ("__truediv__: subtracted terms added", "series.py",
-     "acc -= a * out[k - i]", "acc += a * out[k - i]", ["test_series", "test_series_properties"]),
+     "acc -= a * out[k - i]", "acc += a * out[k - i]",
+     ["test_series", "test_series_properties", VERIFY]),
     ("__mul__: no operand swap, so k * s runs a pass per term of s", "series.py",
      "outer, inner = inner, outer", "pass", ["test_series"]),
     ("__mul__: each pass one place late", "series.py",
@@ -208,7 +237,8 @@ MUTANTS = [
 
 
 def run(name: str, file: str, snippet: str, replacement: str, modules: list[str]) -> str:
-    """'killed', 'survived', 'stale (...)' or 'error (...)' for one mutant."""
+    """'killed', 'survived', 'survived (verify)', 'stale (...)' or 'error (...)'
+    for one mutant."""
     source = (ROOT / "src" / "echopart" / file).read_text(encoding="utf-8")
     if source.count(snippet) != 1:
         return f"stale ({file}: the snippet occurs {source.count(snippet)} times)"
@@ -217,16 +247,25 @@ def run(name: str, file: str, snippet: str, replacement: str, modules: list[str]
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         (src / "echopart" / file).write_text(source.replace(snippet, replacement), encoding="utf-8")
         path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                 *(f"tests/{module}.py" for module in modules)],
+                 *(f"tests/{module}.py" for module in modules if module != VERIFY)],
                 cwd=ROOT,
-                env={**os.environ, "PYTHONPATH": path},
+                env=env,
                 capture_output=True,
                 text=True,
                 timeout=TIMEOUT_S,
             )
+            if proc.returncode == 1 and VERIFY in modules:
+                # verify exits 1 on a mismatch and 2 on an error: either sees the fault
+                seen = subprocess.run(
+                    [sys.executable, "-m", "echopart", *VERIFY.split()],
+                    cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT_S,
+                )
+                if seen.returncode == 0:
+                    return "survived (verify)"
         except subprocess.TimeoutExpired:
             # a mutant that loops is observably wrong, and waiting would hang the run
             return "killed"

@@ -301,6 +301,17 @@ def test_recipe_quotient_is_the_paper_product(family, order):
     assert list(evaluate(product, order).coeffs) == expected
 
 
+@pytest.mark.parametrize("order", [0, 1, 60])
+def test_every_recipe_sum_starts_with_an_addition(spy, order):
+    """evaluate starts each sum at 0 and adds the first term, so every
+    recipe calls TruncatedSeries.__add__: once, and once per later + term."""
+    calls = spy(TruncatedSeries, "__add__")
+    for family in Family:
+        calls.clear()
+        genfun_series(family, order)
+        assert len(calls) == 1 + families_module.RECIPES[family].count("+"), family
+
+
 def test_closed_form_route_never_counts_partitions(refuse):
     """The closed forms must not lean on the DP they are checked against."""
     refuse(partitions_module, "count_upto", "count")

@@ -1,4 +1,5 @@
 import ast
+import time
 from itertools import product
 from pathlib import Path
 
@@ -252,6 +253,29 @@ def test_enumeration_cap():
         enumerate_partitions(-1, UNRESTRICTED)
     at_cap = enumerate_partitions(DEFAULT_ENUMERATION_CAP, Constraint(max_part=2))
     assert len(at_cap) == DEFAULT_ENUMERATION_CAP // 2 + 1 == 61
+
+
+def test_enumeration_refuses_a_count_past_the_bound_before_any_descent():
+    start = time.perf_counter()
+    with pytest.raises(
+        ValueError, match="^n=120 has 1844349560 partitions, above the bound 1000000$"
+    ):
+        enumerate_partitions(120, UNRESTRICTED)
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_enumeration_serves_a_count_at_the_bound(name, monkeypatch):
+    """With the bound at count(12), n = 12 is served and the next n with
+    more partitions is refused: for unrestricted, 77 and then 101 at 13."""
+    constraint = PRESETS[name]
+    bound = count(12, constraint)
+    monkeypatch.setattr(partitions_module, "ENUMERATION_BOUND", bound)
+    assert len(enumerate_partitions(12, constraint)) == bound
+    n = next(n for n in range(13, 121) if count(n, constraint) > bound)
+    message = f"^n={n} has {count(n, constraint)} partitions, above the bound {bound}$"
+    with pytest.raises(ValueError, match=message):
+        enumerate_partitions(n, constraint)
 
 
 def test_euler_identity():

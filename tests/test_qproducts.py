@@ -597,6 +597,15 @@ def test_evaluate_ignores_spaces_between_tokens():
     assert evaluate(" ( -q^2 , -q^4 ; q^6 ) - 1 ", 40) == evaluate("(-q^2,-q^4;q^6)-1", 40)
 
 
+@pytest.mark.parametrize("order", [0, 1, 60])
+def test_the_first_term_takes_its_sign_like_any_other(order):
+    """The sum starts at 0: a leading + reads like no sign, and a leading -
+    subtracts the first term."""
+    euler = pochhammer(EULER, order)
+    assert evaluate("+(q;q) - 1", order) == evaluate("(q;q) - 1", order) == euler - 1
+    assert evaluate("-(q;q) + 1", order) == 1 - evaluate("(q;q)", order) == 1 - euler
+
+
 NEAR_GRAMMAR = st.text(alphabet="q^0129()/;,-+ ", max_size=30)
 
 

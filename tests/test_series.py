@@ -118,6 +118,14 @@ def test_invert_constructs_only_its_result(spy):
     assert built == [inverse.coeffs]
 
 
+def test_sums_and_negation_construct_only_their_result(spy):
+    """+, - and unary - are one pass each: b - a builds no negated copy of a."""
+    a, b = TruncatedSeries((1, 2, 3)), TruncatedSeries((4, 5, 6))
+    built = spy(TruncatedSeries, "__post_init__", lambda self: self.coeffs)
+    results = [a + b, b - a, -a]
+    assert built == [r.coeffs for r in results] == [(5, 7, 9), (3, 3, 3), (-1, -2, -3)]
+
+
 def test_division_by_plus_and_minus_one():
     a = TruncatedSeries((3, -1, 0, 7))
     assert a / 1 == a
