@@ -28,6 +28,7 @@ __all__ = [
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import sub
 from typing import Mapping, NamedTuple
 
 from . import partitions
@@ -108,12 +109,12 @@ def direct_counts_upto(family: Family, limit: int) -> list[int]:
     constraint = CONSTRAINTS[family]
     table = partitions.count_upto(limit // 2, constraint)
     out = [0] * (limit + 1)
-    for largest in range(1, limit // 2 + 1):
-        # {largest} alone would repeat the largest part, so drop it where it
-        # qualifies.  One part is always distinct, so only the residue rule
-        # decides: always for plain/distinct, odd largest for the odd
-        # families, largest not divisible by 3 for mod3, +-1 (mod 6) for mod6.
-        out[2 * largest] = table[largest] - (1 if constraint.allows(largest) else 0)
+    # {largest} alone would repeat the largest part, so drop it where it
+    # qualifies (a bool subtracts as 0 or 1).  One part is always distinct,
+    # so only the residue rule decides: always for plain/distinct, odd
+    # largest for the odd families, largest not divisible by 3 for mod3,
+    # +-1 (mod 6) for mod6.
+    out[2::2] = map(sub, table[1:], map(constraint.allows, range(1, limit // 2 + 1)))
     return out
 
 

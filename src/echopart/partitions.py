@@ -14,13 +14,12 @@ __all__ = [
 ]
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add
 
 Partition = tuple[int, ...]
 
 DEFAULT_ENUMERATION_CAP = 120
 ENUMERATION_BOUND = 1_000_000  # at least p(60) = 966,467, the largest enumeration `table` asks for
+HEADROOM = 8  # bits kept clear at the top of each count_upto cell
 
 
 @dataclass(frozen=True)
@@ -82,44 +81,59 @@ MOD6 = Constraint(modulus=6, residues=frozenset({1, 5}))
 def count_upto(limit: int, constraint: Constraint) -> list[int]:
     """Counts of constrained partitions of 0..limit, one DP pass.
 
-    Each allowed part value is added once, largest first, in C-level
-    slice passes.  When part p comes only larger parts have been added,
-    so cells 1..p are still 0, and below 2p adding p only sets
-    counts[p] = 1:
-    - distinct: one shifted addition from 2p on, then counts[p] = 1, so
-      each part is used at most once;
-    - repeated, part*part <= limit: a running sum down each residue
-      class mod part;
-    - repeated, larger part: counts[p] = 1, then block by block from 2p,
-      each block of ``part`` cells adding the already-updated block
-      before it.
-    The split keeps the Python-level steps per part at min(part,
-    limit/part), and a part above limit/2 costs a single store.
-    Big-integer additions, not the interpreter, bound the cost, and the
-    cells stay small until the small parts come last.  O(limit) memory.
+    The counts live in the cells of one big integer: counts[n] in cell
+    limit - n, so a right shift by s cells moves the count of each n - s
+    into the cell of n and drops the cells past the limit.  Each allowed
+    part p, largest first, multiplies the counts by its factor in one or
+    more C-level additions ``packed += packed >> 8 * width * s``:
+    - distinct: (1 + x^p), the single shift s = p;
+    - repeated: 1/(1 - x^p) = (1 + x^p)(1 + x^2p)(1 + x^4p)..., one shift
+      s = p, 2p, 4p, ... <= limit each (binary multiplicities).
+    Cells start at 2 bytes and double in width when a count needs it, so
+    the additions stay short while the counts are small.  At most limit
+    additions for a distinct constraint and 2*limit for a repeated one
+    (one per pair p, 2^k with p*2^k <= limit), each over limit + 1 cells.
+    O(limit) memory.
     """
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
-    counts = [0] * (limit + 1)
-    counts[0] = 1
+    cells, width = limit + 1, 2  # width in bytes
+    packed = 1 << 8 * width * limit  # counts[0] = 1
+    top = _top_mask(cells, width)
+    # One addition at most doubles a cell.  So while the top HEADROOM bits
+    # of every cell are clear, the next HEADROOM additions cannot carry
+    # into a neighbour; the check before them widens the cells otherwise.
+    # A widened cell's top half is clear, and 8 * width >= HEADROOM.
+    budget = HEADROOM
     for part in range(limit, 0, -1):
         if not constraint.allows(part):
             continue
-        if constraint.distinct:
-            # the right-hand side is built in full first, so every addend is
-            # old; setting counts[part] first would use part twice
-            counts[2 * part :] = map(add, counts[2 * part :], counts[part : limit + 1 - part])
-            counts[part] = 1
-        elif part * part <= limit:
-            for r in range(part):
-                counts[r::part] = accumulate(counts[r::part])
-        else:
-            counts[part] = 1
-            for s in range(2 * part, limit + 1, part):
-                counts[s : s + part] = map(
-                    add, counts[s : s + part], counts[s - part : s]
-                )
-    return counts
+        for k in range(1 if constraint.distinct else (limit // part).bit_length()):
+            if not budget:
+                if packed & top:
+                    packed = _widen(packed, cells, width)
+                    width *= 2
+                    top = _top_mask(cells, width)
+                budget = HEADROOM
+            packed += packed >> 8 * width * (part << k)
+            budget -= 1
+    data = packed.to_bytes(cells * width, "big")
+    return [int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)]
+
+
+def _top_mask(cells: int, width: int) -> int:
+    """The top HEADROOM bits of each of `cells` cells of `width` bytes."""
+    cell = ((1 << HEADROOM) - 1) << 8 * width - HEADROOM
+    return int.from_bytes(cell.to_bytes(width, "big") * cells, "big")
+
+
+def _widen(packed: int, cells: int, width: int) -> int:
+    """The same counts in cells of twice the width, one strided copy per byte."""
+    old = packed.to_bytes(cells * width, "big")
+    new = bytearray(2 * cells * width)
+    for j in range(width):
+        new[width + j :: 2 * width] = old[j::width]
+    return int.from_bytes(new, "big")
 
 
 def count(n: int, constraint: Constraint) -> int:

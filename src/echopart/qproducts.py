@@ -23,9 +23,10 @@ exponent <= N, each the one before shifted and divided by one binomial
 The terms are summed by Horner's rule (Knuth, TAOCP vol. 2, 4.6.4), last
 term first, so a symbol applied to 1 costs its divisions and no additions.
 A division by (1 -+ q^e) runs in C-level slice passes, a running sum per
-residue class for a small e and block by block for a larger one, like
-the partition DP's; the two keep separate copies, because verify checks
-one route against the other and a shared fault would agree with itself.
+residue class for a small e and block by block for a larger one.  The
+partition DP counts in packed big-integer cells instead and shares no
+code with this route, because verify checks one route against the other
+and a shared fault would agree with itself.
 
 :func:`evaluate` reads the paper's notation, signed sums such as
 ``(q^4;q^4)/(q^2;q^2) - q^2/(1-q^4) - 1``, and expands them with these
@@ -148,11 +149,11 @@ def _over(coeffs: list[int], sign: int, e: int) -> None:
     ascending, in C-level slice passes.
 
     1/(1 + q^e) is first rewritten as (1 - q^e)/(1 - q^(2e)), one shifted
-    subtraction.  Then, as in partitions.count_upto, a small e (e*e <= the
-    length) takes one running sum per residue class mod e, and a larger e
-    one block of e coefficients at a time from the block below: min(e, N/e)
-    Python-level steps.  The DP keeps its own copy, so a fault here cannot
-    also hide in the route that verify checks this one against.
+    subtraction.  Then a small e (e*e <= the length) takes one running sum
+    per residue class mod e, and a larger e one block of e coefficients at
+    a time from the block below: min(e, N/e) Python-level steps.  The
+    partition DP counts by another method, so a fault here cannot also
+    hide in the route that verify checks this one against.
     """
     if sign == -1:  # 1/(1 + q^e) = (1 - q^e)/(1 - q^(2e))
         coeffs[e:] = map(sub, coeffs[e:], coeffs)

@@ -12,7 +12,9 @@ change side is the ``src/`` beside this file.
 times one ``exec`` of the statement per side and round, with the name
 ``echopart`` bound to that side's package; one untimed run per side comes
 first.  ``--cli`` times a fresh ``python -m echopart`` process per side
-and round, stdout discarded, and fails if the command fails.  The side
+and round, stdout discarded, and fails if the command fails; it also
+reads each process's peak resident set size (``ru_maxrss`` from
+``os.wait4``) and reports each side's median on a fourth line.  The side
 that runs first alternates from round to round (Kalibera and Jones,
 "Rigorous benchmarking in reasonable time", ISMM 2013).  The report gives
 each side's median and quartiles, the rounds in which the change was
@@ -63,14 +65,22 @@ def call_timer(src: Path, name: str, statement: str):
     return timed
 
 
-def cli_timer(src: Path, command: str):
+def cli_timer(src: Path, command: str, peaks: list[float]):
+    """Times one process per call and appends its peak RSS in MB to peaks."""
     argv = [sys.executable, "-m", "echopart", *shlex.split(command)]
     env = {**os.environ, "PYTHONPATH": str(src)}
 
     def timed() -> float:
         start = time.perf_counter()
-        subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, check=True)
-        return time.perf_counter() - start
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+        # wait4 reaps the child and returns its resource usage with it
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, argv)
+        peaks.append(usage.ru_maxrss / 1024)  # KiB on Linux
+        return seconds
 
     return timed
 
@@ -99,12 +109,13 @@ def main(argv: list[str] | None = None) -> int:
             ).stdout
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
             base = Path(tmp)
+        peaks: dict[str, list[float]] = {"base": [], "change": []}
         if args.call is not None:
             timers = {"base": call_timer(base / "src", "echopart_base", args.call),
                       "change": call_timer(ROOT / "src", "echopart", args.call)}
         else:
-            timers = {"base": cli_timer(base / "src", args.cli),
-                      "change": cli_timer(ROOT / "src", args.cli)}
+            timers = {"base": cli_timer(base / "src", args.cli, peaks["base"]),
+                      "change": cli_timer(ROOT / "src", args.cli, peaks["change"])}
         times: dict[str, list[float]] = {"base": [], "change": []}
         for i in range(args.rounds):
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
@@ -114,6 +125,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"base    {summary(times['base'])}")
     print(f"change  {summary(times['change'])}")
     print(f"change faster in {wins} of {args.rounds} rounds, median {relative:+.1%}")
+    if args.cli is not None:
+        base_mb, change_mb = (statistics.median(peaks[side]) for side in ("base", "change"))
+        print(f"peak RSS median  base {base_mb:.1f} MB  change {change_mb:.1f} MB")
     return 0
 
 

@@ -101,7 +101,8 @@ def dp_loop(limit: int, constraint) -> list[int]:
     Python step per cell: for each allowed part, descending totals (0/1)
     when the constraint is distinct, ascending totals otherwise.
 
-    The reference for partitions.count_upto's slice passes.  It reads only
+    The reference for partitions.count_upto's packed cells: plain Python
+    ints, one per total, so no count can carry into another.  It reads only
     the constraint's distinct, min_part, max_part and allows().
     """
     counts = [0] * (limit + 1)

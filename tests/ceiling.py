@@ -12,7 +12,7 @@ on p(l), the pentagonal parity of q(l) and p(10000) by Rademacher's series
 (rademacher.py) on plain and distinct, and the pentagonal certificate
 (F*E1 = 1, F*E1 = E2, F*E1*E4 = E2*E2 or F*E1*E6 = E2*E3) on every
 family.  It prints one line per check, 23 in all, and exits 1 when any
-fails.  It takes 7.5-9.5 s (CPython 3.11, 2-core VM), so CI's ceiling step
+fails.  It takes 5-7 s (CPython 3.11, 2-core VM), so CI's ceiling step
 runs it, and nothing else there runs ``verify`` at the ceiling; tier-1
 runs the same checks at order 4000.
 

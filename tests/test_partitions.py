@@ -1,5 +1,6 @@
 import ast
 import time
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -22,6 +23,8 @@ from echopart import (
     enumerate_partitions,
 )
 from echopart import partitions as partitions_module
+from echopart import qproducts as qproducts_module
+from echopart import series as series_module
 
 PRESETS = {
     "unrestricted": UNRESTRICTED,
@@ -138,8 +141,10 @@ def test_count_upto_matches_dp_loop(case):
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 12])
 @pytest.mark.parametrize("distinct", [False, True])
 def test_count_upto_at_the_residue_to_block_boundary(p, distinct):
-    """part*part <= limit runs down residue classes, a larger part in blocks;
-    the limits give partial last blocks and parts equal to the limit."""
+    """Limits around p*p, where a scalar loop would switch from residue
+    classes to blocks.  A repeated part takes (limit // p).bit_length()
+    shifts, so for p = 1, 2, 4 the count grows by one at limit p*p; the
+    limits also give parts equal to the limit."""
     for limit in (p * p - 1, p * p, p * p + 1):
         for constraint in (
             Constraint(distinct=distinct, min_part=p),
@@ -152,9 +157,9 @@ def test_count_upto_at_the_residue_to_block_boundary(p, distinct):
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 12])
 @pytest.mark.parametrize("distinct", [False, True])
 def test_count_upto_where_the_first_pass_starts(p, distinct):
-    """Parts are added largest first, so adding p sets counts[p] = 1 and
-    its pass starts at 2p; the limits put 2p just past, at and just inside
-    the end, and p >= 3 takes the block branch when not distinct."""
+    """A part's first shift p moves counts[0] to counts[p], and a repeated
+    part's second shift is 2p; the limits put 2p just past, at and just
+    inside the end, where a repeated part goes from one shift to two."""
     for limit in (2 * p - 1, 2 * p, 2 * p + 1):
         for constraint in (
             Constraint(distinct=distinct, min_part=p),
@@ -179,10 +184,48 @@ def test_count_upto_matches_dp_loop_on_every_small_constraint():
                 assert count_upto(limit, constraint) == expected[: limit + 1]
 
 
+@cache
+def reference_to_2000(name):
+    return bruteforce.dp_loop(2000, PRESETS[name])
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_count_upto_matches_dp_loop_on_presets_at_2000(name):
+    assert count_upto(2000, PRESETS[name]) == reference_to_2000(name)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_count_upto_stays_exact_with_one_bit_of_headroom(name, monkeypatch):
+    """With HEADROOM = 1 the cells are checked before every addition with a
+    single bit to spare, so a check that comes one addition late, or skips
+    the cell of the largest count, lets a count carry into its neighbour.
+    Where that shows depends on the limit, so every limit to 400 runs."""
+    monkeypatch.setattr(partitions_module, "HEADROOM", 1)
+    for limit in (*range(401), 2000):
+        assert count_upto(limit, PRESETS[name]) == reference_to_2000(name)[: limit + 1]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_count_upto_around_each_width_crossing(name, spy):
+    """When the cells widen depends on where the checks fall, so the number
+    of widenings is not monotone in the limit.  For each k up to the count
+    at limit 1999, bisection finds a limit at which the k-th widening first
+    happens; the counts there and one either side equal dp_loop's."""
     constraint = PRESETS[name]
-    assert count_upto(2000, constraint) == bruteforce.dp_loop(2000, constraint)
+    calls = spy(partitions_module, "_widen")
+
+    def widenings(limit):
+        calls.clear()
+        count_upto(limit, constraint)
+        return len(calls)
+
+    for k in range(1, widenings(1999) + 1):
+        lo, hi = 0, 1999  # widenings(lo) < k <= widenings(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if widenings(mid) < k else (lo, mid)
+        for limit in (hi - 1, hi, hi + 1):
+            assert count_upto(limit, constraint) == reference_to_2000(name)[: limit + 1]
 
 
 def test_enumeration_golden():
@@ -297,14 +340,27 @@ def test_distinct_never_exceeds_unrestricted(n):
     assert count(n, ODD_DISTINCT) <= count(n, ODD)
 
 
+def package_imports(module) -> set[str]:
+    """The echopart modules that module's import statements name, read with
+    ast; "" stands for the package itself."""
+    names = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["echopart" if node.level else "", node.module]))
+            names += (f"{base}.{alias.name}" for alias in node.names)
+    return {(name + ".").split(".")[1] for name in names if name.split(".")[0] == "echopart"}
+
+
 def test_partitions_imports_nothing_from_the_closed_form_side():
-    """The DP must not share code with the series route it is checked against."""
-    tree = ast.parse(Path(partitions_module.__file__).read_text(encoding="utf-8"))
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            names.update((node.module or "").split("."))
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            names.update(part for alias in node.names for part in alias.name.split("."))
-    assert not names & {"series", "qproducts"}
+    """The DP must not share code with the series route it is checked
+    against, so partitions imports nothing from the package at all."""
+    assert package_imports(partitions_module) == set()
+
+
+@pytest.mark.parametrize("module", [series_module, qproducts_module], ids=["series", "qproducts"])
+def test_closed_form_side_imports_nothing_from_the_direct_side(module):
+    """The reverse direction: the closed-form route cannot reach the DP,
+    the families built on it, or the b-file comparisons."""
+    assert not package_imports(module) & {"partitions", "families", "seqcompare"}
